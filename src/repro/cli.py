@@ -18,9 +18,11 @@ All commands accept the configuration overrides listed under
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from typing import List, Optional
 
+from repro.experiments import sensitivity
 from repro.experiments.config import SimulationConfig
 from repro.experiments.parallel import DEFAULT_CACHE_DIR
 from repro.experiments.paper import (
@@ -31,7 +33,7 @@ from repro.experiments.paper import (
 )
 from repro.experiments.runner import make_workload, run_matrix, run_single
 from repro.metrics.report import format_matrix, format_run
-from repro.scheduling.registry import ALL_DS, ALL_ES, ALL_LS
+from repro.scheduling.registry import ALL_DS, ALL_ES, DS_NAMES, ES_NAMES
 from repro.workload.traces import save_workload
 
 
@@ -392,6 +394,14 @@ def _build_config(args: argparse.Namespace) -> SimulationConfig:
     return config
 
 
+def _add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--es", default="JobDataPresent", choices=ES_NAMES,
+                        help="external scheduler (+Health = circuit-"
+                             "breaker-aware variant)")
+    parser.add_argument("--ds", default="DataRandom", choices=DS_NAMES,
+                        help="dataset scheduler")
+
+
 def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("parallel execution")
     group.add_argument("-j", "--jobs", type=int, default=1,
@@ -403,6 +413,18 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
                             f"under {DEFAULT_CACHE_DIR}/")
     group.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="cache directory (implies --cache)")
+
+
+def _add_campaign_parser(sub, name: str, func,
+                         **kwargs) -> argparse.ArgumentParser:
+    """A subcommand that runs a seed-replicated campaign: ``--seeds``,
+    the configuration overrides and the parallel-execution flags."""
+    parser = sub.add_parser(name, **kwargs)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0])
+    _add_config_arguments(parser)
+    _add_parallel_arguments(parser)
+    parser.set_defaults(func=func)
+    return parser
 
 
 def _cache_dir(args: argparse.Namespace):
@@ -428,21 +450,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The paper's three ES × DS views: (title, RunMetrics field).
+_FIGURE_VIEWS = {
+    "3a": ("Figure 3a: average response time per job (seconds)",
+           "avg_response_time_s"),
+    "3b": ("Figure 3b: average data transferred per job (MB)",
+           "avg_data_transferred_mb"),
+    "4": ("Figure 4: average idle time of processors (%)", "idle_percent"),
+}
+
+
+def _print_matrices(result, views) -> None:
+    """Print one ES × DS table per (title, metric) view."""
+    print("\n\n".join(
+        format_matrix(title, result.metric_matrix(metric), ALL_ES, ALL_DS)
+        for title, metric in views))
+
+
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    result = run_matrix(config, seeds=tuple(args.seeds),
+    result = run_matrix(_build_config(args), seeds=tuple(args.seeds),
                         jobs=args.jobs, cache_dir=_cache_dir(args))
-    print(format_matrix(
-        "Figure 3a: average response time per job (seconds)",
-        result.metric_matrix("avg_response_time_s"), ALL_ES, ALL_DS))
-    print()
-    print(format_matrix(
-        "Figure 3b: average data transferred per job (MB)",
-        result.metric_matrix("avg_data_transferred_mb"), ALL_ES, ALL_DS))
-    print()
-    print(format_matrix(
-        "Figure 4: average idle time of processors (%)",
-        result.metric_matrix("idle_percent"), ALL_ES, ALL_DS))
+    _print_matrices(result, _FIGURE_VIEWS.values())
     return 0
 
 
@@ -459,17 +487,10 @@ def _cmd_dag(args: argparse.Namespace) -> int:
           f"width={config.dag_width} bulk={bulk} "
           f"seeds={list(args.seeds)}")
     print()
-    print(format_matrix(
-        "Average response time per job (seconds)",
-        result.metric_matrix("avg_response_time_s"), ALL_ES, ALL_DS))
-    print()
-    print(format_matrix(
-        "Average data transferred per job (MB)",
-        result.metric_matrix("avg_data_transferred_mb"), ALL_ES, ALL_DS))
-    print()
-    print(format_matrix(
-        "Jobs completed",
-        result.metric_matrix("n_jobs"), ALL_ES, ALL_DS))
+    _print_matrices(result, [
+        ("Average response time per job (seconds)", "avg_response_time_s"),
+        ("Average data transferred per job (MB)", "avg_data_transferred_mb"),
+        ("Jobs completed", "n_jobs")])
     return 0
 
 
@@ -489,19 +510,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             print(f"{es:<16}{out['10MB/sec'][es]:>12.1f}"
                   f"{out['100MB/sec'][es]:>12.1f}")
         return 0
-    result = reproduce_figure3_and_4(config, seeds=seeds,
-                                     jobs=args.jobs,
+    result = reproduce_figure3_and_4(config, seeds=seeds, jobs=args.jobs,
                                      cache_dir=_cache_dir(args))
-    views = {
-        "3a": ("Figure 3a: average response time per job (seconds)",
-               result.figure3a()),
-        "3b": ("Figure 3b: average data transferred per job (MB)",
-               result.figure3b()),
-        "4": ("Figure 4: average idle time of processors (%)",
-              result.figure4()),
-    }
-    title, values = views[args.which]
-    print(format_matrix(title, values, ALL_ES, ALL_DS))
+    _print_matrices(result.matrix, [_FIGURE_VIEWS[args.which]])
     return 0
 
 
@@ -521,13 +532,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _parse_pairs(specs) -> Optional[tuple]:
-    """Parse --pairs entries like 'JobDataPresent+DataLeastLoaded'."""
+    """Parse --pairs entries like 'JobDataPresent+DataLeastLoaded'.
+
+    ES names may themselves contain '+' (the +Health variants), so the
+    DS name is whatever follows the last '+'.
+    """
     if specs is None:
         return None
     pairs = []
     for spec in specs:
-        es_name, sep, ds_name = spec.partition("+")
-        if not sep or es_name not in ALL_ES or ds_name not in ALL_DS:
+        es_name, sep, ds_name = spec.rpartition("+")
+        if not sep or es_name not in ES_NAMES or ds_name not in DS_NAMES:
             raise ValueError(
                 f"bad pair {spec!r}; expected ES+DS like "
                 f"JobDataPresent+DataLeastLoaded")
@@ -535,71 +550,80 @@ def _parse_pairs(specs) -> Optional[tuple]:
     return tuple(pairs)
 
 
-def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    from repro.experiments.sensitivity import (
-        durability_sweep,
-        overload_sweep,
-        recovery_sweep,
-        staleness_sensitivity,
-    )
+#: The swept-value flags of ``repro sensitivity``:
+#: (flag, type, default, metavar, help).
+_SENSITIVITY_AXES = (
+    ("--delays", float, sensitivity.DEFAULT_DELAYS, "SECONDS",
+     "catalog propagation delays to sweep (staleness-sweep)"),
+    ("--rates", float, sensitivity.DEFAULT_RATES, "JOBS_PER_S",
+     "open-loop arrival rates to sweep (overload-sweep)"),
+    ("--capacities", int, sensitivity.DEFAULT_CAPACITIES, "JOBS",
+     "per-site queue capacities to sweep (overload-sweep)"),
+    ("--thresholds", float, sensitivity.DEFAULT_THRESHOLDS, "PHI",
+     "phi suspicion thresholds to sweep (recovery-sweep)"),
+    ("--mtbfs", float, sensitivity.DEFAULT_MTBFS, "SECONDS",
+     "site MTBF values to sweep; 0 = no random failures (recovery-sweep)"),
+    ("--corruption-mtbfs", float, sensitivity.DEFAULT_CORRUPTION_MTBFS,
+     "SECONDS", "per-site bit-rot MTBF values to sweep; 0 = no corruption "
+     "(durability-sweep)"),
+    ("--rfs", int, sensitivity.DEFAULT_RFS, "N",
+     "replication factors to sweep; factors > 1 arm the repair manager "
+     "(durability-sweep)"),
+    ("--scrubs", float, sensitivity.DEFAULT_SCRUBS, "SECONDS",
+     "scrubber periods to sweep; 0 = on-access detection only "
+     "(durability-sweep)"),
+)
 
+
+def _cmd_sensitivity(args: argparse.Namespace) -> int:
     config = _build_config(args)
     pairs = _parse_pairs(args.pairs)
-    kwargs = {"pairs": pairs} if pairs else {}
+    common = dict(seeds=tuple(args.seeds), jobs=args.jobs,
+                  cache_dir=_cache_dir(args))
+    if pairs:
+        common["pairs"] = pairs
+    verdicts = []
     if args.mode == "durability-sweep":
-        result = durability_sweep(
+        result = sensitivity.durability_sweep(
             config, mtbfs=tuple(args.corruption_mtbfs),
-            rfs=tuple(args.rfs), scrubs=tuple(args.scrubs),
-            seeds=tuple(args.seeds), jobs=args.jobs,
-            cache_dir=_cache_dir(args), **kwargs)
-        print(result.table())
-        print()
-        for es_name, ds_name in result.pairs:
-            for mtbf in result.mtbfs:
-                for scrub in result.scrubs:
-                    rf = result.surviving_rf(es_name, ds_name, mtbf, scrub)
-                    label = (f"{es_name} + {ds_name}, corruption mtbf "
-                             f"{mtbf:g}, scrub {scrub:g}")
-                    print(f"lowest surviving RF for {label}: "
-                          + (f"{rf}" if rf is not None else "none swept"))
-        return 0
-    if args.mode == "recovery-sweep":
-        partitioned = {"both": (False, True), "on": (True,),
-                       "off": (False,)}[args.partition_cells]
-        result = recovery_sweep(
+            rfs=tuple(args.rfs), scrubs=tuple(args.scrubs), **common)
+        for (es, ds), mtbf, scrub in itertools.product(
+                result.pairs, result.values("corruption_mtbf_s"),
+                result.values("scrub_interval_s")):
+            rf = sensitivity.surviving_rf(result, es, ds, mtbf, scrub)
+            verdicts.append(
+                f"lowest surviving RF for {es} + {ds}, corruption mtbf "
+                f"{mtbf:g}, scrub {scrub:g}: "
+                + (f"{rf}" if rf is not None else "none swept"))
+    elif args.mode == "recovery-sweep":
+        result = sensitivity.recovery_sweep(
             config, thresholds=tuple(args.thresholds),
-            mtbfs=tuple(args.mtbfs), partitioned=partitioned,
-            seeds=tuple(args.seeds), jobs=args.jobs,
-            cache_dir=_cache_dir(args), **kwargs)
-        print(result.table())
-        print()
-        for es_name, ds_name in result.pairs:
-            for part in result.partitioned:
-                for mtbf in result.mtbfs:
-                    safe = result.safe_threshold(es_name, ds_name, mtbf,
-                                                 part)
-                    label = (f"{es_name} + {ds_name}, mtbf {mtbf:g}, "
-                             f"partition {'on' if part else 'off'}")
-                    print(f"lowest safe threshold (fp <= 5%) for {label}: "
-                          + (f"{safe:g}" if safe is not None
-                             else "none swept"))
-        return 0
-    if args.mode == "overload-sweep":
-        result = overload_sweep(
+            mtbfs=tuple(args.mtbfs), partitioned={
+                "both": (False, True), "on": (True,), "off": (False,)
+            }[args.partition_cells], **common)
+        for (es, ds), part, mtbf in itertools.product(
+                result.pairs, result.values("partitioned"),
+                result.values("site_mtbf_s")):
+            safe = sensitivity.safe_threshold(result, es, ds, mtbf, part)
+            verdicts.append(
+                f"lowest safe threshold (fp <= 5%) for {es} + {ds}, mtbf "
+                f"{mtbf:g}, partition {'on' if part else 'off'}: "
+                + (f"{safe:g}" if safe is not None else "none swept"))
+    elif args.mode == "overload-sweep":
+        result = sensitivity.overload_sweep(
             config, rates=tuple(args.rates),
-            capacities=tuple(args.capacities), seeds=tuple(args.seeds),
-            jobs=args.jobs, cache_dir=_cache_dir(args), **kwargs)
-        print(result.table())
-        return 0
-    result = staleness_sensitivity(
-        config, delays=tuple(args.delays), seeds=tuple(args.seeds),
-        jobs=args.jobs, cache_dir=_cache_dir(args), **kwargs)
+            capacities=tuple(args.capacities), **common)
+    else:
+        result = sensitivity.staleness_sensitivity(
+            config, delays=tuple(args.delays), **common)
+        verdicts = [
+            f"worst-case response-time degradation for {es} + {ds}: "
+            f"{100 * (sensitivity.degradation(result, es, ds) - 1):.1f} %"
+            for es, ds in result.pairs]
     print(result.table())
-    print()
-    for es_name, ds_name in result.pairs:
-        print(f"worst-case response-time degradation for "
-              f"{es_name} + {ds_name}: "
-              f"{100 * (result.degradation(es_name, ds_name) - 1):.1f} %")
+    if verdicts:
+        print()
+        print("\n".join(verdicts))
     return 0
 
 
@@ -678,59 +702,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=_cmd_table1)
 
     p_run = sub.add_parser("run", help="run one algorithm combination")
-    p_run.add_argument("--es", default="JobDataPresent",
-                       choices=(ALL_ES + ["JobAdaptive"]
-                                + [f"{es}+Health" for es in ALL_ES]),
-                       help="external scheduler (+Health = circuit-"
-                            "breaker-aware variant)")
-    p_run.add_argument("--ds", default="DataRandom",
-                       choices=ALL_DS + ["DataBestClient"],
-                       help="dataset scheduler")
+    _add_scheduler_arguments(p_run)
     _add_config_arguments(p_run)
     p_run.set_defaults(func=_cmd_run)
 
-    p_matrix = sub.add_parser(
-        "matrix", help="run the full 4x3 sweep (Figures 3a/3b/4)")
-    p_matrix.add_argument("--seeds", type=int, nargs="+", default=[0])
-    _add_config_arguments(p_matrix)
-    _add_parallel_arguments(p_matrix)
-    p_matrix.set_defaults(func=_cmd_matrix)
+    _add_campaign_parser(sub, "matrix", _cmd_matrix,
+                         help="run the full 4x3 sweep (Figures 3a/3b/4)")
+    _add_campaign_parser(sub, "dag", _cmd_dag,
+                         help="run the full ES x DS sweep on a DAG workload")
 
-    p_dag = sub.add_parser(
-        "dag", help="run the full ES x DS sweep on a DAG workload")
-    p_dag.add_argument("--seeds", type=int, nargs="+", default=[0])
-    _add_config_arguments(p_dag)
-    _add_parallel_arguments(p_dag)
-    p_dag.set_defaults(func=_cmd_dag)
-
-    p_figure = sub.add_parser("figure", help="reproduce one paper figure")
+    p_figure = _add_campaign_parser(sub, "figure", _cmd_figure,
+                                    help="reproduce one paper figure")
     p_figure.add_argument("which", choices=["2", "3a", "3b", "4", "5"])
-    p_figure.add_argument("--seeds", type=int, nargs="+", default=[0])
     p_figure.add_argument("--top", type=int, default=60,
                           help="datasets to list for figure 2")
-    _add_config_arguments(p_figure)
-    _add_parallel_arguments(p_figure)
-    p_figure.set_defaults(func=_cmd_figure)
 
-    p_sweep = sub.add_parser(
-        "sweep", help="sweep one config field across values")
+    p_sweep = _add_campaign_parser(
+        sub, "sweep", _cmd_sweep,
+        help="sweep one config field across values")
     p_sweep.add_argument("parameter",
                          help="SimulationConfig field to vary")
     p_sweep.add_argument("values", nargs="+",
                          help="values to sweep (parsed as int/float/str)")
-    p_sweep.add_argument("--es", default="JobDataPresent",
-                         choices=ALL_ES + ["JobAdaptive"])
-    p_sweep.add_argument("--ds", default="DataRandom",
-                         choices=ALL_DS + ["DataBestClient"])
-    p_sweep.add_argument("--seeds", type=int, nargs="+", default=[0])
-    _add_config_arguments(p_sweep)
-    _add_parallel_arguments(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    _add_scheduler_arguments(p_sweep)
 
-    p_sens = sub.add_parser(
-        "sensitivity",
+    p_sens = _add_campaign_parser(
+        sub, "sensitivity", _cmd_sensitivity,
         help="degradation sweeps: catalog staleness, offered overload, "
-             "or failure detection/recovery")
+             "failure detection/recovery, or data durability")
     p_sens.add_argument("mode", nargs="?",
                         choices=["staleness-sweep", "overload-sweep",
                                  "recovery-sweep", "durability-sweep"],
@@ -743,40 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "durability-sweep: corruption rate x "
                              "replication factor x scrub period survival "
                              "table")
-    p_sens.add_argument("--delays", type=float, nargs="+",
-                        default=[0.0, 60.0, 300.0, 900.0, 1800.0],
-                        metavar="SECONDS",
-                        help="catalog propagation delays to sweep "
-                             "(staleness-sweep)")
-    p_sens.add_argument("--rates", type=float, nargs="+",
-                        default=[0.02, 0.05, 0.1, 0.2],
-                        metavar="JOBS_PER_S",
-                        help="open-loop arrival rates to sweep "
-                             "(overload-sweep)")
-    p_sens.add_argument("--capacities", type=int, nargs="+",
-                        default=[4, 16], metavar="JOBS",
-                        help="per-site queue capacities to sweep "
-                             "(overload-sweep)")
-    p_sens.add_argument("--thresholds", type=float, nargs="+",
-                        default=[2.0, 3.0, 6.0], metavar="PHI",
-                        help="phi suspicion thresholds to sweep "
-                             "(recovery-sweep)")
-    p_sens.add_argument("--mtbfs", type=float, nargs="+",
-                        default=[0.0, 3600.0, 14400.0], metavar="SECONDS",
-                        help="site MTBF values to sweep; 0 = no random "
-                             "failures (recovery-sweep)")
-    p_sens.add_argument("--corruption-mtbfs", type=float, nargs="+",
-                        default=[0.0, 14400.0, 3600.0], metavar="SECONDS",
-                        help="per-site bit-rot MTBF values to sweep; 0 = "
-                             "no corruption (durability-sweep)")
-    p_sens.add_argument("--rfs", type=int, nargs="+", default=[1, 2],
-                        metavar="N",
-                        help="replication factors to sweep; factors > 1 "
-                             "arm the repair manager (durability-sweep)")
-    p_sens.add_argument("--scrubs", type=float, nargs="+",
-                        default=[0.0, 600.0], metavar="SECONDS",
-                        help="scrubber periods to sweep; 0 = on-access "
-                             "detection only (durability-sweep)")
+    for flag, kind, default, metavar, text in _SENSITIVITY_AXES:
+        p_sens.add_argument(flag, type=kind, nargs="+", default=list(default),
+                            metavar=metavar, help=text)
     p_sens.add_argument("--partition-cells", default="both",
                         choices=["both", "on", "off"],
                         help="whether recovery-sweep cells include the "
@@ -788,20 +756,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "JobDataPresent+DataLeastLoaded "
                              "(default: decoupled winner vs "
                              "compute-only baseline)")
-    p_sens.add_argument("--seeds", type=int, nargs="+", default=[0])
-    _add_config_arguments(p_sens)
-    _add_parallel_arguments(p_sens)
-    p_sens.set_defaults(func=_cmd_sensitivity)
 
     p_trace = sub.add_parser(
         "trace", help="run one combination traced / summarize a trace")
     trace_sub = p_trace.add_subparsers(dest="action", required=True)
     p_trace_run = trace_sub.add_parser(
         "run", help="run one combination with domain-event tracing on")
-    p_trace_run.add_argument("--es", default="JobDataPresent",
-                             choices=ALL_ES + ["JobAdaptive"])
-    p_trace_run.add_argument("--ds", default="DataRandom",
-                             choices=ALL_DS + ["DataBestClient"])
+    _add_scheduler_arguments(p_trace_run)
     p_trace_run.add_argument("--trace-out", default=None, metavar="FILE",
                              help="write the trace as JSONL")
     p_trace_run.add_argument("--trace-kinds", nargs="+", default=None,

@@ -4,6 +4,10 @@
   defaults are exactly Table 1 of the paper.
 * :mod:`~repro.experiments.runner` — build-and-run helpers: one run, seed
   replications, the 4×3 algorithm matrix, the full 72-run study.
+* :mod:`~repro.experiments.sweep` — the grid-sweep engine every
+  campaign runs on: named axes × algorithm pairs × seeds.
+* :mod:`~repro.experiments.sensitivity` — the staleness, overload,
+  recovery and durability sweeps, each with its picker.
 * :mod:`~repro.experiments.parallel` — process-pool fan-out of
   independent runs with deterministic merging and an on-disk result
   cache (``run_matrix(..., jobs=N)``).

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.config import SimulationConfig
-from repro.experiments.parallel import ParallelRunner, RunSpec
+from repro.experiments.sweep import grid_sweep
 from repro.grid.arrivals import OpenArrivalProcess
 from repro.grid.grid import DataGrid
 from repro.grid.health import HealthPolicy
@@ -104,7 +104,7 @@ def build_grid(
 ) -> Tuple[Simulator, DataGrid]:
     """Wire a ready-to-run grid for one algorithm combination.
 
-    The workload must be fresh (jobs in CREATED state); pass
+    The workload must be fresh (jobs in WAITING state); pass
     ``workload.fresh()`` when reusing one across runs.  ``tracer`` (a
     :class:`repro.sim.trace.Tracer`) turns on domain-event tracing;
     emissions never draw randomness, so a traced run is bitwise-identical
@@ -275,15 +275,10 @@ def run_replicated(
     jobs: Optional[int] = 1,
     cache_dir: Optional[Union[str, Path]] = None,
 ) -> List[RunMetrics]:
-    """The paper's three-seed replication for one algorithm pair.
-
-    ``jobs`` fans the seeds out over worker processes (1 = serial;
-    None/0 = all cores); ``cache_dir`` enables the on-disk result cache.
-    Results are identical at any worker count.
-    """
-    runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir)
-    return runner.map(
-        [RunSpec(config, es_name, ds_name, seed) for seed in seeds])
+    """The paper's three-seed replication for one algorithm pair;
+    ``jobs`` and ``cache_dir`` as in :func:`run_matrix`."""
+    return grid_sweep(config, (), [(es_name, ds_name)], seeds, jobs=jobs,
+                      cache_dir=cache_dir).runs[(es_name, ds_name)]
 
 
 @dataclass
@@ -323,30 +318,12 @@ def run_matrix(
 ) -> MatrixResult:
     """Run every (ES, DS) pair under every seed with paired workloads.
 
-    Runs are independent simulations, so ``jobs`` fans them out over a
-    process pool (1 = serial in-process; None/0 = one worker per core).
-    Workloads are regenerated deterministically from each seed inside the
-    workers, so the returned :class:`MatrixResult` is bitwise-identical
-    at any worker count.  ``cache_dir`` enables the on-disk result cache
-    (see :mod:`repro.experiments.parallel`).
+    A :func:`~repro.experiments.sweep.grid_sweep` with no axes: ``jobs``
+    worker processes (1 = serial; None/0 = one per core) give
+    bitwise-identical results at any count, and ``cache_dir`` enables
+    the on-disk result cache.
     """
-    result = MatrixResult(config=config, seeds=tuple(seeds))
-    seeds = tuple(seeds)
-    if not seeds:
-        for es_name in es_names:
-            for ds_name in ds_names:
-                result.runs[(es_name, ds_name)] = []
-        return result
-    specs = [
-        RunSpec(config, es_name, ds_name, seed)
-        for es_name in es_names
-        for ds_name in ds_names
-        for seed in seeds
-    ]
-    runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir)
-    metrics = runner.map(specs)
-    for pair_index in range(len(specs) // len(seeds)):
-        spec = specs[pair_index * len(seeds)]
-        result.runs[(spec.es_name, spec.ds_name)] = metrics[
-            pair_index * len(seeds):(pair_index + 1) * len(seeds)]
-    return result
+    grid = grid_sweep(
+        config, (), [(es, ds) for es in es_names for ds in ds_names],
+        seeds, jobs=jobs, cache_dir=cache_dir)
+    return MatrixResult(config=config, seeds=grid.seeds, runs=grid.runs)

@@ -1,51 +1,36 @@
 """Sensitivity experiments: where do the paper's findings degrade?
 
 The paper evaluates every algorithm pair under *perfect* global
-information and load the grid can absorb.  Two sweeps probe past those
-assumptions:
+information and load the grid can absorb.  Four sweeps probe past those
+assumptions.  Each is a list of :class:`~repro.experiments.sweep.Axis`
+objects for :func:`~repro.experiments.sweep.grid_sweep`, a
+:class:`~repro.experiments.sweep.Table` layout, and a picker that reads
+the answer off the grid:
 
-* :func:`staleness_sensitivity` re-runs chosen (ES, DS) pairs across a
-  range of replica-catalog propagation delays (the
-  :class:`~repro.grid.staleness.StaleReplicaView` bounded-staleness
-  model) and tabulates response time next to the misdirection/bounce
-  counters, so one table answers: at what delay does
-  ``JobDataPresent``'s data-local advantage stop paying for the jobs it
-  sends to the wrong site?
-* :func:`overload_sweep` drives chosen pairs with an open-loop Poisson
-  arrival stream across an arrival-rate × queue-capacity grid (the
-  :class:`~repro.grid.overload.OverloadPolicy` saturation protections)
-  and tabulates the degradation counters, locating the saturation knee
-  per scheduler pair.
-* :func:`recovery_sweep` runs chosen pairs with the observed failure
-  detector (:mod:`repro.grid.health`) across a detection-threshold ×
-  site-MTBF × partition grid and tabulates detection latency,
-  false-positive rate, wasted speculative work, and goodput — locating
-  the threshold below which the detector's false alarms cost more than
-  its fast detections save.
-* :func:`durability_sweep` runs chosen pairs with the data-durability
-  layer (:mod:`repro.grid.durability`) across a bit-rot-rate ×
-  replication-factor × scrub-period grid and tabulates a survival
-  table (datasets lost, jobs abandoned, repair work) — locating the
-  cheapest (RF, scrub) combination that keeps every dataset alive at
-  each corruption pressure.
+* :func:`staleness_sensitivity` — replica-catalog propagation delay;
+  :func:`degradation`: how much of JobDataPresent's data-local advantage
+  do misdirected jobs eat?
+* :func:`overload_sweep` — open-loop arrival rate × queue capacity;
+  :func:`knee`: where does the pair saturate?
+* :func:`recovery_sweep` — failure-detector threshold × site MTBF ×
+  network partition; :func:`safe_threshold`: the fastest detector that
+  is not crying wolf.
+* :func:`durability_sweep` — bit-rot rate × replication factor × scrub
+  period; :func:`surviving_rf`: the cheapest factor that loses no data.
 
-Every cell is a full seed-replicated run through the
-:class:`~repro.experiments.parallel.ParallelRunner`, so results are
-bitwise-identical at any worker count and cache-replayable.
+The workload depends only on the seed, never on a swept value, so cells
+along every axis are paired comparisons.  Every sweep passes its extra
+keywords (``seeds``, ``jobs``, ``cache_dir``) on to ``grid_sweep``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Optional, Sequence, Tuple
 
 from repro.experiments.config import SimulationConfig
-from repro.experiments.parallel import ParallelRunner, RunSpec
+from repro.experiments.sweep import Axis, Column, GridResult, Table, grid_sweep
 from repro.faults.plan import FaultPlan, NetworkPartition
-from repro.metrics.collector import RunMetrics
-from repro.metrics.summary import MetricSummary
 
 #: Default comparison: the paper's decoupled winner vs the traditional
 #: compute-only baseline.  Both consult replica state (JobDataPresent for
@@ -57,102 +42,51 @@ DEFAULT_PAIRS: Tuple[Tuple[str, str], ...] = (
     ("JobLeastLoaded", "DataDoNothing"),
 )
 
+
+def _with_plan(config: SimulationConfig, plan: FaultPlan
+               ) -> SimulationConfig:
+    """``config`` running ``plan``, or no plan if it injects nothing."""
+    return config.with_(fault_plan=plan if not plan.is_null else None)
+
+
+# ---- staleness sweep --------------------------------------------------------
+
 #: Default delay grid (seconds): live oracle, one DS period, and beyond.
 DEFAULT_DELAYS: Tuple[float, ...] = (0.0, 60.0, 300.0, 900.0, 1800.0)
 
-
-@dataclass
-class SensitivityResult:
-    """Results of one staleness sweep over (pair × delay × seed)."""
-
-    delays: Tuple[float, ...]
-    pairs: Tuple[Tuple[str, str], ...]
-    seeds: Tuple[int, ...]
-    #: (es, ds, delay) → per-seed metrics.
-    runs: Dict[Tuple[str, str, float], List[RunMetrics]] = (
-        field(default_factory=dict))
-
-    def summary(self, es_name: str, ds_name: str, delay: float,
-                metric: str) -> MetricSummary:
-        """Cross-seed summary of one metric at one (pair, delay) cell."""
-        return MetricSummary.of([
-            float(getattr(m, metric))
-            for m in self.runs[(es_name, ds_name, delay)]])
-
-    def series(self, es_name: str, ds_name: str,
-               metric: str) -> List[float]:
-        """Mean of ``metric`` for one pair at each delay, in sweep order."""
-        return [self.summary(es_name, ds_name, delay, metric).mean
-                for delay in self.delays]
-
-    def degradation(self, es_name: str, ds_name: str) -> float:
-        """Response-time ratio of the worst delay to the live oracle.
-
-        1.0 means staleness never hurt; 1.4 means the pair lost 40 % of
-        its performance at some swept delay.
-        """
-        series = self.series(es_name, ds_name, "avg_response_time_s")
-        return max(series) / series[0] if series[0] > 0 else 1.0
-
-    def table(self) -> str:
-        """ASCII table: one row per (pair, delay) cell."""
-        lines = [
-            f"catalog-staleness sensitivity ({len(self.seeds)} seed(s))",
-            f"{'pair':<34}{'delay (s)':>10}{'response (s)':>14}"
-            f"{'misdirected':>12}{'bounced':>9}{'stale reads':>12}",
-        ]
-        for es_name, ds_name in self.pairs:
-            for delay in self.delays:
-                label = f"{es_name} + {ds_name}"
-                lines.append(
-                    f"{label:<34}{delay:>10g}"
-                    f"{self.summary(es_name, ds_name, delay, 'avg_response_time_s').mean:>14.1f}"
-                    f"{self.summary(es_name, ds_name, delay, 'misdirected_jobs').mean:>12.1f}"
-                    f"{self.summary(es_name, ds_name, delay, 'bounced_jobs').mean:>9.1f}"
-                    f"{self.summary(es_name, ds_name, delay, 'stale_reads').mean:>12.1f}")
-        return "\n".join(lines)
+STALENESS_TABLE = Table(
+    title="catalog-staleness sensitivity ({seeds} seed(s))",
+    columns=(
+        Column("delay (s)", "catalog_delay_s", 10, "g"),
+        Column("response (s)", "avg_response_time_s", 14),
+        Column("misdirected", "misdirected_jobs", 12),
+        Column("bounced", "bounced_jobs", 9),
+        Column("stale reads", "stale_reads", 12),
+    ))
 
 
 def staleness_sensitivity(
     config: SimulationConfig,
     delays: Sequence[float] = DEFAULT_DELAYS,
     pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
-    seeds: Sequence[int] = (0,),
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> SensitivityResult:
-    """Sweep ``catalog_delay_s`` across ``delays`` for each (ES, DS) pair.
+    **campaign: Any,
+) -> GridResult:
+    """Sweep ``catalog_delay_s`` for each pair; runs keyed
+    ``(es, ds, delay)``."""
+    return grid_sweep(
+        config,
+        [Axis.field("catalog_delay_s", [float(d) for d in delays])],
+        pairs, layout=STALENESS_TABLE, **campaign)
 
-    The workload depends only on the seed, never on the delay, so every
-    cell of a row is a paired comparison: identical jobs, identical
-    placements, only the information quality differs.  ``jobs`` and
-    ``cache_dir`` behave as in :func:`~repro.experiments.runner.run_matrix`.
+
+def degradation(result: GridResult, es_name: str, ds_name: str) -> float:
+    """Response-time ratio of the worst delay to the live oracle.
+
+    1.0 means staleness never hurt; 1.4 means the pair lost 40 % of
+    its performance at some swept delay.
     """
-    if not delays:
-        raise ValueError("no delays given")
-    if not pairs:
-        raise ValueError("no algorithm pairs given")
-    result = SensitivityResult(
-        delays=tuple(float(d) for d in delays),
-        pairs=tuple(pairs),
-        seeds=tuple(seeds),
-    )
-    seeds = tuple(seeds)
-    specs = [
-        RunSpec(config.with_(catalog_delay_s=delay), es_name, ds_name, seed)
-        for es_name, ds_name in result.pairs
-        for delay in result.delays
-        for seed in seeds
-    ]
-    runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir)
-    metrics = runner.map(specs)
-    index = 0
-    for es_name, ds_name in result.pairs:
-        for delay in result.delays:
-            result.runs[(es_name, ds_name, delay)] = metrics[
-                index:index + len(seeds)]
-            index += len(seeds)
-    return result
+    series = result.series(es_name, ds_name, "avg_response_time_s")
+    return max(series) / series[0] if series[0] > 0 else 1.0
 
 
 # ---- overload sweep ---------------------------------------------------------
@@ -166,74 +100,42 @@ DEFAULT_RATES: Tuple[float, ...] = (0.02, 0.05, 0.1, 0.2)
 DEFAULT_CAPACITIES: Tuple[int, ...] = (4, 16)
 
 
-@dataclass
-class OverloadSweepResult:
-    """Results of one overload sweep over (pair × rate × capacity × seed)."""
-
-    rates: Tuple[float, ...]
-    capacities: Tuple[int, ...]
-    pairs: Tuple[Tuple[str, str], ...]
-    seeds: Tuple[int, ...]
-    #: (es, ds, rate, capacity) → per-seed metrics.
-    runs: Dict[Tuple[str, str, float, int], List[RunMetrics]] = (
-        field(default_factory=dict))
-
-    def summary(self, es_name: str, ds_name: str, rate: float,
-                capacity: int, metric: str) -> MetricSummary:
-        """Cross-seed summary of one metric at one sweep cell."""
-        return MetricSummary.of([
-            float(getattr(m, metric))
-            for m in self.runs[(es_name, ds_name, rate, capacity)]])
-
-    def series(self, es_name: str, ds_name: str, capacity: int,
-               metric: str) -> List[float]:
-        """Mean of ``metric`` for one pair/capacity at each rate."""
-        return [
-            self.summary(es_name, ds_name, rate, capacity, metric).mean
-            for rate in self.rates]
-
-    def knee(self, es_name: str, ds_name: str, capacity: int,
-             factor: float = 2.0) -> Optional[float]:
-        """The saturation knee: the first swept arrival rate whose mean
-        response time exceeds ``factor`` × the lowest-rate response.
-        ``None`` = the pair absorbed every swept rate.
-        """
-        series = self.series(es_name, ds_name, capacity,
-                             "avg_response_time_s")
-        baseline = series[0]
-        if baseline <= 0:
-            return None
-        for rate, value in zip(self.rates, series):
-            if value > factor * baseline:
-                return rate
+def knee(result: GridResult, es_name: str, ds_name: str, capacity: int,
+         factor: float = 2.0) -> Optional[float]:
+    """The first swept arrival rate whose mean response exceeds
+    ``factor`` × the lowest-rate response; None = never reached."""
+    series = result.series(es_name, ds_name, capacity,
+                           "avg_response_time_s")
+    baseline = series[0]
+    if baseline <= 0:
         return None
+    for rate, value in zip(result.axes[0].values, series):
+        if value > factor * baseline:
+            return rate
+    return None
 
-    def table(self) -> str:
-        """ASCII degradation table: one row per (pair, rate, capacity)."""
-        lines = [
-            f"overload sweep ({len(self.seeds)} seed(s))",
-            f"{'pair':<34}{'rate/s':>8}{'cap':>5}{'response (s)':>14}"
-            f"{'shed':>6}{'expired':>8}{'deflected':>10}{'peak q':>7}",
-        ]
-        for es_name, ds_name in self.pairs:
-            for capacity in self.capacities:
-                for rate in self.rates:
-                    cell = lambda m: self.summary(  # noqa: E731
-                        es_name, ds_name, rate, capacity, m).mean
-                    label = f"{es_name} + {ds_name}"
-                    lines.append(
-                        f"{label:<34}{rate:>8g}{capacity:>5d}"
-                        f"{cell('avg_response_time_s'):>14.1f}"
-                        f"{cell('jobs_shed'):>6.1f}"
-                        f"{cell('jobs_expired'):>8.1f}"
-                        f"{cell('jobs_deflected'):>10.1f}"
-                        f"{cell('peak_queue_depth'):>7.1f}")
-                knee = self.knee(es_name, ds_name, capacity)
-                lines.append(
-                    f"  knee (2x response) at capacity {capacity}: "
-                    + (f"{knee:g} jobs/s" if knee is not None
-                       else "not reached"))
-        return "\n".join(lines)
+
+def _knee_line(result: GridResult, es_name: str, ds_name: str,
+               outer: Tuple[int]) -> str:
+    (capacity,) = outer
+    rate = knee(result, es_name, ds_name, capacity)
+    return (f"  knee (2x response) at capacity {capacity}: "
+            + (f"{rate:g} jobs/s" if rate is not None else "not reached"))
+
+
+OVERLOAD_TABLE = Table(
+    title="overload sweep ({seeds} seed(s))",
+    columns=(
+        Column("rate/s", "arrival_rate_per_s", 8, "g"),
+        Column("cap", "queue_capacity", 5, "d"),
+        Column("response (s)", "avg_response_time_s", 14),
+        Column("shed", "jobs_shed", 6),
+        Column("expired", "jobs_expired", 8),
+        Column("deflected", "jobs_deflected", 10),
+        Column("peak q", "peak_queue_depth", 7),
+    ),
+    nesting=("queue_capacity", "arrival_rate_per_s"),
+    footer=_knee_line)
 
 
 def overload_sweep(
@@ -241,51 +143,21 @@ def overload_sweep(
     rates: Sequence[float] = DEFAULT_RATES,
     capacities: Sequence[int] = DEFAULT_CAPACITIES,
     pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
-    seeds: Sequence[int] = (0,),
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> OverloadSweepResult:
-    """Sweep open-loop arrival rate × queue capacity for each pair.
+    **campaign: Any,
+) -> GridResult:
+    """Sweep open-loop arrival rate × queue capacity for each pair; runs
+    keyed ``(es, ds, rate, capacity)``.
 
-    Each cell replaces the paper's closed-loop users with a Poisson
-    stream at the given rate and bounds every site queue at the given
-    capacity (0 = unbounded, the graceful-degradation control).  The
-    workload depends only on the seed, so cells along the rate axis are
-    paired comparisons.  Other overload knobs (deadline, reservations,
-    degraded ES) are taken from ``config`` unchanged.
+    Each cell replaces the closed-loop users with a Poisson stream at the
+    rate and bounds every site queue at the capacity (0 = unbounded, the
+    control).  Other overload knobs are taken from ``config`` unchanged.
     """
-    if not rates:
-        raise ValueError("no arrival rates given")
-    if not capacities:
-        raise ValueError("no queue capacities given")
-    if not pairs:
-        raise ValueError("no algorithm pairs given")
-    result = OverloadSweepResult(
-        rates=tuple(float(r) for r in rates),
-        capacities=tuple(int(c) for c in capacities),
-        pairs=tuple(pairs),
-        seeds=tuple(seeds),
-    )
-    seeds = tuple(seeds)
-    specs = [
-        RunSpec(
-            config.with_(arrival_rate_per_s=rate, queue_capacity=capacity),
-            es_name, ds_name, seed)
-        for es_name, ds_name in result.pairs
-        for rate in result.rates
-        for capacity in result.capacities
-        for seed in seeds
-    ]
-    runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir)
-    metrics = runner.map(specs)
-    index = 0
-    for es_name, ds_name in result.pairs:
-        for rate in result.rates:
-            for capacity in result.capacities:
-                result.runs[(es_name, ds_name, rate, capacity)] = metrics[
-                    index:index + len(seeds)]
-                index += len(seeds)
-    return result
+    return grid_sweep(
+        config,
+        [Axis.field("arrival_rate_per_s", [float(r) for r in rates]),
+         Axis.field("queue_capacity", [int(c) for c in capacities])],
+        pairs, layout=OVERLOAD_TABLE, **campaign)
+
 
 # ---- recovery sweep ---------------------------------------------------------
 
@@ -298,82 +170,33 @@ DEFAULT_THRESHOLDS: Tuple[float, ...] = (2.0, 3.0, 6.0)
 DEFAULT_MTBFS: Tuple[float, ...] = (0.0, 3600.0, 14400.0)
 
 
-def _partition_for(config: SimulationConfig, start_s: float,
-                   duration_s: float) -> NetworkPartition:
-    """The sweep's canonical partition: the first quarter of the sites
-    (at least one) cut off for one window."""
-    count = max(1, config.n_sites // 4)
-    sites = tuple(f"site{s:02d}" for s in range(count))
-    return NetworkPartition(sites=sites, start_s=start_s,
-                            end_s=start_s + duration_s)
+def safe_threshold(result: GridResult, es_name: str, ds_name: str,
+                   mtbf: float, part: bool, max_fp_rate: float = 0.05
+                   ) -> Optional[float]:
+    """The lowest swept threshold whose false-positive rate is at most
+    ``max_fp_rate``; None = every swept threshold exceeded it."""
+    for threshold, fp in zip(
+            result.axes[0].values,
+            result.series(es_name, ds_name, mtbf, part,
+                          "false_positive_rate")):
+        if fp <= max_fp_rate:
+            return threshold
+    return None
 
 
-@dataclass
-class RecoverySweepResult:
-    """Results of one recovery sweep over
-    (pair × threshold × MTBF × partition × seed)."""
-
-    thresholds: Tuple[float, ...]
-    mtbfs: Tuple[float, ...]
-    partitioned: Tuple[bool, ...]
-    pairs: Tuple[Tuple[str, str], ...]
-    seeds: Tuple[int, ...]
-    #: (es, ds, threshold, mtbf, partitioned) → per-seed metrics.
-    runs: Dict[Tuple[str, str, float, float, bool], List[RunMetrics]] = (
-        field(default_factory=dict))
-
-    def summary(self, es_name: str, ds_name: str, threshold: float,
-                mtbf: float, part: bool, metric: str) -> MetricSummary:
-        """Cross-seed summary of one metric at one sweep cell."""
-        return MetricSummary.of([
-            float(getattr(m, metric))
-            for m in self.runs[(es_name, ds_name, threshold, mtbf, part)]])
-
-    def series(self, es_name: str, ds_name: str, mtbf: float, part: bool,
-               metric: str) -> List[float]:
-        """Mean of ``metric`` for one pair/MTBF/partition at each
-        threshold, in sweep order."""
-        return [
-            self.summary(es_name, ds_name, threshold, mtbf, part, metric).mean
-            for threshold in self.thresholds]
-
-    def safe_threshold(self, es_name: str, ds_name: str, mtbf: float,
-                       part: bool, max_fp_rate: float = 0.05
-                       ) -> Optional[float]:
-        """The lowest swept threshold whose false-positive rate stays at
-        or under ``max_fp_rate`` — i.e. the fastest detector setting that
-        is not crying wolf.  ``None`` = every swept threshold exceeded it.
-        """
-        for threshold in self.thresholds:
-            fp = self.summary(es_name, ds_name, threshold, mtbf, part,
-                              "false_positive_rate").mean
-            if fp <= max_fp_rate:
-                return threshold
-        return None
-
-    def table(self) -> str:
-        """ASCII table: one row per (pair, threshold, mtbf, partition)."""
-        lines = [
-            f"recovery sweep ({len(self.seeds)} seed(s))",
-            f"{'pair':<34}{'phi':>5}{'mtbf (s)':>10}{'part':>6}"
-            f"{'detect (s)':>12}{'fp rate':>9}{'wasted (s)':>12}"
-            f"{'goodput':>9}",
-        ]
-        for es_name, ds_name in self.pairs:
-            for part in self.partitioned:
-                for mtbf in self.mtbfs:
-                    for threshold in self.thresholds:
-                        cell = lambda m: self.summary(  # noqa: E731
-                            es_name, ds_name, threshold, mtbf, part, m).mean
-                        label = f"{es_name} + {ds_name}"
-                        lines.append(
-                            f"{label:<34}{threshold:>5g}{mtbf:>10g}"
-                            f"{'yes' if part else 'no':>6}"
-                            f"{cell('mean_detection_latency_s'):>12.1f}"
-                            f"{cell('false_positive_rate'):>9.3f}"
-                            f"{cell('speculative_wasted_s'):>12.1f}"
-                            f"{cell('goodput'):>9.3f}")
-        return "\n".join(lines)
+RECOVERY_TABLE = Table(
+    title="recovery sweep ({seeds} seed(s))",
+    columns=(
+        Column("phi", "health_phi_threshold", 5, "g"),
+        Column("mtbf (s)", "site_mtbf_s", 10, "g"),
+        Column("part", "partitioned", 6,
+               lambda part: "yes" if part else "no"),
+        Column("detect (s)", "mean_detection_latency_s", 12),
+        Column("fp rate", "false_positive_rate", 9, ".3f"),
+        Column("wasted (s)", "speculative_wasted_s", 12),
+        Column("goodput", "goodput", 9, ".3f"),
+    ),
+    nesting=("partitioned", "site_mtbf_s", "health_phi_threshold"))
 
 
 def recovery_sweep(
@@ -382,79 +205,48 @@ def recovery_sweep(
     mtbfs: Sequence[float] = DEFAULT_MTBFS,
     partitioned: Sequence[bool] = (False, True),
     pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
-    seeds: Sequence[int] = (0,),
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
     partition_start_s: float = 1800.0,
     partition_duration_s: float = 1800.0,
-) -> RecoverySweepResult:
-    """Sweep the observed failure detector across a threshold × MTBF ×
-    partition grid for each (ES, DS) pair.
+    **campaign: Any,
+) -> GridResult:
+    """Sweep the failure detector's phi threshold × site MTBF ×
+    partition for each pair; runs keyed ``(es, ds, threshold, mtbf,
+    partitioned)``.
 
-    Every cell runs with heartbeats on (``config.health_heartbeat_s`` if
-    set, else 30 s) and the swept phi threshold; the fault plan is the
-    config's plan with ``site_mtbf_s`` overridden per cell and, in the
-    partitioned cells, one canonical partition added (the first quarter
-    of the sites, cut off for ``partition_duration_s`` starting at
-    ``partition_start_s``).  The workload depends only on the seed, so
-    cells along every axis are paired comparisons.
+    Heartbeats are on (``config.health_heartbeat_s`` if set, else 30 s).
+    Each cell's fault plan is the config's plan with ``site_mtbf_s``
+    overridden and, when partitioned, the first quarter of the sites cut
+    off for ``partition_duration_s`` from ``partition_start_s``.
     """
-    if not thresholds:
-        raise ValueError("no detection thresholds given")
-    if not mtbfs:
-        raise ValueError("no MTBF values given")
-    if not partitioned:
-        raise ValueError("no partition settings given")
-    if not pairs:
-        raise ValueError("no algorithm pairs given")
-    result = RecoverySweepResult(
-        thresholds=tuple(float(t) for t in thresholds),
-        mtbfs=tuple(float(m) for m in mtbfs),
-        partitioned=tuple(bool(p) for p in partitioned),
-        pairs=tuple(pairs),
-        seeds=tuple(seeds),
-    )
-    seeds = tuple(seeds)
+    base_plan = config.fault_plan or FaultPlan()
+    quarter = range(max(1, config.n_sites // 4))
+    partition = NetworkPartition(
+        sites=tuple(f"site{s:02d}" for s in quarter),
+        start_s=partition_start_s,
+        end_s=partition_start_s + partition_duration_s)
+
+    # The MTBF axis keeps its plan even when null; the partition axis,
+    # applied last, drops it.  A null plan carrying a seed thus keeps the
+    # seed when the partition makes it non-null.
+    def with_partition(cell: SimulationConfig,
+                       part: bool) -> SimulationConfig:
+        plan = cell.fault_plan
+        return _with_plan(cell, dataclasses.replace(
+            plan, partitions=plan.partitions + (partition,))
+            if part else plan)
+
     heartbeat = (config.health_heartbeat_s
                  if config.health_heartbeat_s > 0 else 30.0)
-    base_plan = config.fault_plan or FaultPlan()
-    partition = _partition_for(config, partition_start_s,
-                               partition_duration_s)
-
-    def cell_config(threshold: float, mtbf: float,
-                    part: bool) -> SimulationConfig:
-        plan = dataclasses.replace(
-            base_plan,
-            site_mtbf_s=mtbf,
-            partitions=(base_plan.partitions + (partition,)
-                        if part else base_plan.partitions),
-        )
-        return config.with_(
-            fault_plan=(plan if not plan.is_null else None),
-            health_heartbeat_s=heartbeat,
-            health_phi_threshold=threshold,
-        )
-
-    specs = [
-        RunSpec(cell_config(threshold, mtbf, part), es_name, ds_name, seed)
-        for es_name, ds_name in result.pairs
-        for part in result.partitioned
-        for mtbf in result.mtbfs
-        for threshold in result.thresholds
-        for seed in seeds
-    ]
-    runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir)
-    metrics = runner.map(specs)
-    index = 0
-    for es_name, ds_name in result.pairs:
-        for part in result.partitioned:
-            for mtbf in result.mtbfs:
-                for threshold in result.thresholds:
-                    result.runs[
-                        (es_name, ds_name, threshold, mtbf, part)] = metrics[
-                        index:index + len(seeds)]
-                    index += len(seeds)
-    return result
+    return grid_sweep(
+        config.with_(health_heartbeat_s=heartbeat),
+        [Axis.field("health_phi_threshold",
+                    [float(t) for t in thresholds]),
+         Axis("site_mtbf_s", [float(m) for m in mtbfs],
+              lambda cell, mtbf: cell.with_(fault_plan=dataclasses.replace(
+                  base_plan, site_mtbf_s=mtbf))),
+         Axis("partitioned", [bool(p) for p in partitioned],
+              with_partition)],
+        pairs, layout=RECOVERY_TABLE, **campaign)
 
 
 # ---- durability sweep -------------------------------------------------------
@@ -473,71 +265,29 @@ DEFAULT_RFS: Tuple[int, ...] = (1, 2)
 DEFAULT_SCRUBS: Tuple[float, ...] = (0.0, 600.0)
 
 
-@dataclass
-class DurabilitySweepResult:
-    """Results of one durability sweep over
-    (pair × corruption-MTBF × RF × scrub × seed)."""
+def surviving_rf(result: GridResult, es_name: str, ds_name: str,
+                 mtbf: float, scrub: float) -> Optional[int]:
+    """The lowest swept replication factor that lost no dataset under
+    any seed; None = every swept factor lost data."""
+    for rf in sorted(result.values("replication_factor")):
+        runs = result.runs[(es_name, ds_name, mtbf, rf, scrub)]
+        if max(m.datasets_lost for m in runs) == 0:
+            return rf
+    return None
 
-    mtbfs: Tuple[float, ...]
-    rfs: Tuple[int, ...]
-    scrubs: Tuple[float, ...]
-    pairs: Tuple[Tuple[str, str], ...]
-    seeds: Tuple[int, ...]
-    #: (es, ds, mtbf, rf, scrub) → per-seed metrics.
-    runs: Dict[Tuple[str, str, float, int, float], List[RunMetrics]] = (
-        field(default_factory=dict))
 
-    def summary(self, es_name: str, ds_name: str, mtbf: float, rf: int,
-                scrub: float, metric: str) -> MetricSummary:
-        """Cross-seed summary of one metric at one sweep cell."""
-        return MetricSummary.of([
-            float(getattr(m, metric))
-            for m in self.runs[(es_name, ds_name, mtbf, rf, scrub)]])
-
-    def series(self, es_name: str, ds_name: str, rf: int, scrub: float,
-               metric: str) -> List[float]:
-        """Mean of ``metric`` for one pair/RF/scrub at each corruption
-        MTBF, in sweep order."""
-        return [
-            self.summary(es_name, ds_name, mtbf, rf, scrub, metric).mean
-            for mtbf in self.mtbfs]
-
-    def surviving_rf(self, es_name: str, ds_name: str, mtbf: float,
-                     scrub: float) -> Optional[int]:
-        """The lowest swept replication factor that lost zero datasets
-        across every seed at this corruption pressure.  ``None`` = every
-        swept factor lost data.
-        """
-        for rf in sorted(self.rfs):
-            lost = [m.datasets_lost
-                    for m in self.runs[(es_name, ds_name, mtbf, rf, scrub)]]
-            if max(lost) == 0:
-                return rf
-        return None
-
-    def table(self) -> str:
-        """ASCII survival table: one row per (pair, mtbf, rf, scrub)."""
-        lines = [
-            f"durability sweep ({len(self.seeds)} seed(s))",
-            f"{'pair':<34}{'mtbf (s)':>10}{'rf':>4}{'scrub':>7}"
-            f"{'corrupt':>9}{'repaired':>9}{'lost':>6}{'abandoned':>10}"
-            f"{'response (s)':>14}",
-        ]
-        for es_name, ds_name in self.pairs:
-            for mtbf in self.mtbfs:
-                for rf in self.rfs:
-                    for scrub in self.scrubs:
-                        cell = lambda m: self.summary(  # noqa: E731
-                            es_name, ds_name, mtbf, rf, scrub, m).mean
-                        label = f"{es_name} + {ds_name}"
-                        lines.append(
-                            f"{label:<34}{mtbf:>10g}{rf:>4d}{scrub:>7g}"
-                            f"{cell('replicas_corrupted'):>9.1f}"
-                            f"{cell('replicas_repaired'):>9.1f}"
-                            f"{cell('datasets_lost'):>6.1f}"
-                            f"{cell('jobs_abandoned_data_lost'):>10.1f}"
-                            f"{cell('avg_response_time_s'):>14.1f}")
-        return "\n".join(lines)
+DURABILITY_TABLE = Table(
+    title="durability sweep ({seeds} seed(s))",
+    columns=(
+        Column("mtbf (s)", "corruption_mtbf_s", 10, "g"),
+        Column("rf", "replication_factor", 4, "d"),
+        Column("scrub", "scrub_interval_s", 7, "g"),
+        Column("corrupt", "replicas_corrupted", 9),
+        Column("repaired", "replicas_repaired", 9),
+        Column("lost", "datasets_lost", 6),
+        Column("abandoned", "jobs_abandoned_data_lost", 10),
+        Column("response (s)", "avg_response_time_s", 14),
+    ))
 
 
 def durability_sweep(
@@ -546,64 +296,22 @@ def durability_sweep(
     rfs: Sequence[int] = DEFAULT_RFS,
     scrubs: Sequence[float] = DEFAULT_SCRUBS,
     pairs: Sequence[Tuple[str, str]] = DEFAULT_PAIRS,
-    seeds: Sequence[int] = (0,),
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> DurabilitySweepResult:
-    """Sweep bit-rot pressure × replication factor × scrub period for
-    each (ES, DS) pair.
+    **campaign: Any,
+) -> GridResult:
+    """Sweep per-site bit-rot MTBF × replication factor × scrub period
+    for each pair; runs keyed ``(es, ds, mtbf, rf, scrub)``.
 
-    Every cell overrides the config's fault plan with the swept per-site
-    ``corruption_mtbf_s`` and runs the durability layer at the swept
-    replication factor and scrub period; factors above 1 arm the
-    RepairManager, factor 1 is the detection-only baseline (the paper's
-    single-primary behavior plus checksums).  The workload depends only
-    on the seed, so cells along every axis are paired comparisons.
+    Factors above 1 arm the RepairManager; factor 1 is the
+    detection-only baseline (single primaries plus checksums).
     """
-    if not mtbfs:
-        raise ValueError("no corruption MTBF values given")
-    if not rfs:
-        raise ValueError("no replication factors given")
-    if not scrubs:
-        raise ValueError("no scrub periods given")
-    if not pairs:
-        raise ValueError("no algorithm pairs given")
-    result = DurabilitySweepResult(
-        mtbfs=tuple(float(m) for m in mtbfs),
-        rfs=tuple(int(r) for r in rfs),
-        scrubs=tuple(float(s) for s in scrubs),
-        pairs=tuple(pairs),
-        seeds=tuple(seeds),
-    )
-    seeds = tuple(seeds)
     base_plan = config.fault_plan or FaultPlan()
-
-    def cell_config(mtbf: float, rf: int, scrub: float) -> SimulationConfig:
-        plan = dataclasses.replace(base_plan, corruption_mtbf_s=mtbf)
-        return config.with_(
-            fault_plan=(plan if not plan.is_null else None),
-            replication_factor=rf,
-            durability_repair=rf > 1,
-            scrub_interval_s=scrub,
-        )
-
-    specs = [
-        RunSpec(cell_config(mtbf, rf, scrub), es_name, ds_name, seed)
-        for es_name, ds_name in result.pairs
-        for mtbf in result.mtbfs
-        for rf in result.rfs
-        for scrub in result.scrubs
-        for seed in seeds
-    ]
-    runner = ParallelRunner(jobs=jobs, cache_dir=cache_dir)
-    metrics = runner.map(specs)
-    index = 0
-    for es_name, ds_name in result.pairs:
-        for mtbf in result.mtbfs:
-            for rf in result.rfs:
-                for scrub in result.scrubs:
-                    result.runs[
-                        (es_name, ds_name, mtbf, rf, scrub)] = metrics[
-                        index:index + len(seeds)]
-                    index += len(seeds)
-    return result
+    return grid_sweep(
+        config,
+        [Axis("corruption_mtbf_s", [float(m) for m in mtbfs],
+              lambda cell, mtbf: _with_plan(cell, dataclasses.replace(
+                  base_plan, corruption_mtbf_s=mtbf))),
+         Axis("replication_factor", [int(r) for r in rfs],
+              lambda cell, rf: cell.with_(replication_factor=rf,
+                                          durability_repair=rf > 1)),
+         Axis.field("scrub_interval_s", [float(s) for s in scrubs])],
+        pairs, layout=DURABILITY_TABLE, **campaign)

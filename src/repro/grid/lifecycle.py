@@ -68,13 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class JobState(enum.Enum):
-    """Lifecycle states.
-
-    The first ten members are the canonical state set; the trailing names
-    are aliases kept for the pre-engine vocabulary (``CREATED`` /
-    ``SUBMITTED`` / ``QUEUED`` / ``COMPLETED``) so existing call sites and
-    tests keep working — aliases are identical objects, not copies.
-    """
+    """Lifecycle states."""
 
     WAITING = "waiting"        #: generated; parents (if any) not done yet
     READY = "ready"            #: handed to the External Scheduler
@@ -89,12 +83,6 @@ class JobState(enum.Enum):
     SPECULATED = "speculated"  #: lost a speculative race (terminal)
     #: Every replica of an input dataset is gone (terminal).
     ABANDONED_DATA_LOST = "abandoned_data_lost"
-
-    # -- legacy aliases (same members, old names) --------------------------
-    CREATED = "waiting"
-    SUBMITTED = "ready"
-    QUEUED = "fetching"
-    COMPLETED = "done"
 
 
 #: Every legal edge, ``(src, dst) -> edge name``.  The engine refuses

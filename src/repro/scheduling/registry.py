@@ -77,6 +77,14 @@ for _base in ("JobRandom", "JobLeastLoaded", "JobDataPresent", "JobLocal"):
     _ES_FACTORIES[f"{_base}+Health"] = _health_variant(_base)
 del _base
 
+#: Every External Scheduler name the registry builds: the paper's four,
+#: the extensions, and the +Health variants.  The CLI offers exactly these.
+ES_NAMES: List[str] = list(_ES_FACTORIES)
+
+#: Every Dataset Scheduler name the registry builds: the paper's three
+#: plus the DataBestClient extension.
+DS_NAMES: List[str] = ALL_DS + ["DataBestClient"]
+
 _LS_FACTORIES: Dict[str, Callable[[], LocalScheduler]] = {
     "FIFO": FIFOLocalScheduler,
     "SJF": ShortestJobFirstScheduler,
@@ -129,4 +137,4 @@ def make_dataset_scheduler(
         return DataBestClient(rng, popularity_threshold, check_interval_s,
                               delete_idle_after_s)
     raise ValueError(
-        f"unknown dataset scheduler {name!r}; known: {ALL_DS}")
+        f"unknown dataset scheduler {name!r}; known: {DS_NAMES}")

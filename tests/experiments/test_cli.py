@@ -117,6 +117,16 @@ class TestSweepCommand:
         assert main(["sweep", "warp_factor", "1", *SMALL]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_health_variant_accepted(self, capsys):
+        assert main(["sweep", "bandwidth_mbps", "10", "100",
+                     "--es", "JobDataPresent+Health", *SMALL]) == 0
+        assert "JobDataPresent+Health + DataRandom" in \
+            capsys.readouterr().out
+
+    def test_duplicate_values_are_an_error(self, capsys):
+        assert main(["sweep", "bandwidth_mbps", "10", "10", *SMALL]) == 2
+        assert "duplicate" in capsys.readouterr().err
+
     def test_best_client_policy_accepted(self, capsys):
         assert main(["run", "--ds", "DataBestClient", *SMALL]) == 0
         assert "DataBestClient" in capsys.readouterr().out
@@ -177,6 +187,27 @@ class TestSensitivity:
         assert main(["sensitivity", *SMALL, "--delays", "0",
                      "--pairs", "JobMagic"]) == 2
         assert "bad pair" in capsys.readouterr().err
+
+    def test_health_pair_accepted(self, capsys):
+        assert main(["sensitivity", "recovery-sweep", *SMALL,
+                     "--thresholds", "3", "--mtbfs", "0",
+                     "--partition-cells", "off", "--pairs",
+                     "JobDataPresent+Health+DataLeastLoaded"]) == 0
+        out = capsys.readouterr().out
+        assert "JobDataPresent+Health + DataLeastLoaded" in out
+        assert "lowest safe threshold" in out
+
+    @pytest.mark.parametrize("pair", [
+        "JobAdaptive+DataRandom", "JobLocal+Health+DataBestClient"])
+    def test_every_registered_name_parses(self, pair, capsys):
+        assert main(["sensitivity", *SMALL, "--delays", "0",
+                     "--pairs", pair]) == 0
+        es_name, _, ds_name = pair.rpartition("+")
+        assert f"{es_name} + {ds_name}" in capsys.readouterr().out
+
+    def test_duplicate_delays_are_an_error(self, capsys):
+        assert main(["sensitivity", *SMALL, "--delays", "0", "0"]) == 2
+        assert "duplicate" in capsys.readouterr().err
 
     def test_parallel_workers_accepted(self, capsys):
         assert main(["sensitivity", *SMALL, "--delays", "0", "60",

@@ -16,6 +16,7 @@ from repro.experiments.sensitivity import (
     DEFAULT_RFS,
     DEFAULT_SCRUBS,
     durability_sweep,
+    surviving_rf,
 )
 
 PAIRS = (("JobDataPresent", "DataRandom"),)
@@ -92,8 +93,8 @@ class TestSurvivalTradeoff:
 
     def test_surviving_rf_picker(self, result):
         es, ds = PAIRS[0]
-        assert result.surviving_rf(es, ds, 0.0, SCRUBS[0]) == 1
-        assert result.surviving_rf(es, ds, MTBFS[1], SCRUBS[0]) == 2
+        assert surviving_rf(result, es, ds, 0.0, SCRUBS[0]) == 1
+        assert surviving_rf(result, es, ds, MTBFS[1], SCRUBS[0]) == 2
 
 
 class TestDeterminism:
@@ -125,3 +126,19 @@ class TestValidation:
             durability_sweep(config, mtbfs=MTBFS, rfs=(), scrubs=SCRUBS)
         with pytest.raises(ValueError):
             durability_sweep(config, mtbfs=MTBFS, rfs=RFS, scrubs=())
+
+    def test_duplicate_axis_values_rejected(self, config):
+        with pytest.raises(ValueError, match="duplicate"):
+            durability_sweep(config, mtbfs=(0.0, 0.0), rfs=RFS,
+                             scrubs=SCRUBS, pairs=PAIRS)
+        with pytest.raises(ValueError, match="duplicate"):
+            durability_sweep(config, mtbfs=MTBFS, rfs=(2, 2),
+                             scrubs=SCRUBS, pairs=PAIRS)
+        with pytest.raises(ValueError, match="duplicate"):
+            durability_sweep(config, mtbfs=MTBFS, rfs=RFS,
+                             scrubs=(600.0, 600.0), pairs=PAIRS)
+
+    def test_no_seeds_rejected(self, config):
+        with pytest.raises(ValueError, match="no seeds"):
+            durability_sweep(config, mtbfs=MTBFS, rfs=RFS, scrubs=SCRUBS,
+                             pairs=PAIRS, seeds=())

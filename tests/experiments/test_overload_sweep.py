@@ -11,10 +11,10 @@ import dataclasses
 import pytest
 
 from repro import SimulationConfig
+from repro.experiments import sensitivity
 from repro.experiments.sensitivity import (
     DEFAULT_CAPACITIES,
     DEFAULT_RATES,
-    OverloadSweepResult,
     overload_sweep,
 )
 
@@ -101,12 +101,13 @@ class TestGracefulDegradation:
         # that bounding is the mechanism under test, so the knee is
         # probed at 1.5x rather than the default 2x.
         es, ds = PAIRS[0]
-        knee = result.knee(es, ds, CAPACITIES[0], factor=1.5)
+        knee = sensitivity.knee(result, es, ds, CAPACITIES[0], factor=1.5)
         assert knee == RATES[-1]
 
     def test_knee_none_when_factor_unreachable(self, result):
         es, ds = PAIRS[0]
-        assert result.knee(es, ds, CAPACITIES[0], factor=1e9) is None
+        assert sensitivity.knee(result, es, ds, CAPACITIES[0],
+                                factor=1e9) is None
 
 
 class TestDeterminism:
@@ -141,6 +142,17 @@ class TestValidation:
     def test_no_pairs_rejected(self, config):
         with pytest.raises(ValueError):
             overload_sweep(config, pairs=())
+
+    def test_duplicate_axis_values_rejected(self, config):
+        with pytest.raises(ValueError, match="duplicate"):
+            overload_sweep(config, rates=(0.1, 0.1), pairs=PAIRS)
+        with pytest.raises(ValueError, match="duplicate"):
+            overload_sweep(config, capacities=(4, 4), pairs=PAIRS)
+
+    def test_no_seeds_rejected(self, config):
+        with pytest.raises(ValueError, match="no seeds"):
+            overload_sweep(config, rates=RATES, capacities=CAPACITIES,
+                           pairs=PAIRS, seeds=())
 
     def test_defaults_span_sub_and_super_critical(self):
         assert min(DEFAULT_RATES) < max(DEFAULT_RATES)

@@ -15,6 +15,7 @@ from repro.experiments.sensitivity import (
     DEFAULT_MTBFS,
     DEFAULT_THRESHOLDS,
     recovery_sweep,
+    safe_threshold,
 )
 
 PAIRS = (("JobDataPresent", "DataRandom"),)
@@ -98,16 +99,16 @@ class TestDetectorTradeoff:
 
     def test_safe_threshold_is_from_the_swept_grid(self, result):
         es, ds = PAIRS[0]
-        safe = result.safe_threshold(es, ds, 0.0, False)
+        safe = safe_threshold(result, es, ds, 0.0, False)
         assert safe is None or safe in THRESHOLDS
 
     def test_safe_threshold_relaxes_with_the_cap(self, result):
         """An infinite false-positive budget accepts the lowest
         threshold; an impossible one accepts none."""
         es, ds = PAIRS[0]
-        assert result.safe_threshold(es, ds, 0.0, False,
+        assert safe_threshold(result, es, ds, 0.0, False,
                                      max_fp_rate=1.0) == THRESHOLDS[0]
-        assert result.safe_threshold(es, ds, 0.0, False,
+        assert safe_threshold(result, es, ds, 0.0, False,
                                      max_fp_rate=-1.0) is None
 
 
@@ -143,6 +144,19 @@ class TestValidation:
     def test_no_pairs_rejected(self, config):
         with pytest.raises(ValueError):
             recovery_sweep(config, pairs=())
+
+    def test_duplicate_axis_values_rejected(self, config):
+        with pytest.raises(ValueError, match="duplicate"):
+            recovery_sweep(config, thresholds=(2.0, 2.0), pairs=PAIRS)
+        with pytest.raises(ValueError, match="duplicate"):
+            recovery_sweep(config, mtbfs=(0.0, 0.0), pairs=PAIRS)
+        with pytest.raises(ValueError, match="duplicate"):
+            recovery_sweep(config, partitioned=(True, True), pairs=PAIRS)
+
+    def test_no_seeds_rejected(self, config):
+        with pytest.raises(ValueError, match="no seeds"):
+            recovery_sweep(config, thresholds=THRESHOLDS, mtbfs=MTBFS,
+                           partitioned=PARTITIONED, pairs=PAIRS, seeds=())
 
     def test_defaults_span_the_tradeoff(self):
         assert min(DEFAULT_THRESHOLDS) < max(DEFAULT_THRESHOLDS)

@@ -133,6 +133,10 @@ class TestMatrix:
         assert values[("JobLocal", "DataDoNothing")] == pytest.approx(
             expected)
 
+    def test_no_seeds_rejected(self, small_config):
+        with pytest.raises(ValueError, match="no seeds"):
+            run_matrix(small_config, seeds=())
+
     def test_summary_access(self, small_config):
         result = run_matrix(small_config, es_names=["JobLocal"],
                             ds_names=["DataDoNothing"], seeds=(0, 1))

@@ -7,7 +7,7 @@ import pytest
 from repro import SimulationConfig
 from repro.experiments.sensitivity import (
     DEFAULT_PAIRS,
-    SensitivityResult,
+    degradation,
     staleness_sensitivity,
 )
 
@@ -56,7 +56,7 @@ class TestShape:
 
     def test_degradation_is_a_ratio(self, result):
         es, ds = PAIRS[0]
-        assert result.degradation(es, ds) >= 1.0
+        assert degradation(result, es, ds) >= 1.0
 
 
 class TestStalenessEffects:
@@ -102,6 +102,17 @@ class TestValidation:
     def test_no_pairs_rejected(self, config):
         with pytest.raises(ValueError):
             staleness_sensitivity(config, pairs=())
+
+    def test_duplicate_delays_rejected(self, config):
+        with pytest.raises(ValueError, match="duplicate"):
+            staleness_sensitivity(config, delays=(0.0, 0.0), pairs=PAIRS)
+        with pytest.raises(ValueError, match="duplicate"):
+            staleness_sensitivity(config, delays=DELAYS, pairs=PAIRS * 2)
+
+    def test_no_seeds_rejected(self, config):
+        with pytest.raises(ValueError, match="no seeds"):
+            staleness_sensitivity(config, delays=DELAYS, pairs=PAIRS,
+                                  seeds=())
 
     def test_default_pairs_cover_decoupled_and_coupled(self):
         schedulers = {es for es, _ in DEFAULT_PAIRS}

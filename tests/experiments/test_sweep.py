@@ -21,6 +21,10 @@ class TestSweep:
             sweep(config, "bandwidth_mbps", ())
         with pytest.raises(ValueError, match="not a SimulationConfig"):
             sweep(config, "warp_factor", (1,))
+        with pytest.raises(ValueError, match="duplicate"):
+            sweep(config, "bandwidth_mbps", (10.0, 10.0))
+        with pytest.raises(ValueError, match="no seeds"):
+            sweep(config, "bandwidth_mbps", (10.0,), seeds=())
 
     def test_covers_every_value_and_seed(self, bandwidth_sweep):
         assert bandwidth_sweep.values == (5.0, 10.0, 100.0)

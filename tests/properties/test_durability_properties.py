@@ -31,7 +31,7 @@ SITES = ["site00", "site01"]
 DATASETS = [f"dataset{i:04d}" for i in range(10)]
 N_JOBS = 120
 
-TERMINAL = (JobState.COMPLETED, JobState.FAILED,
+TERMINAL = (JobState.DONE, JobState.FAILED,
             JobState.ABANDONED_DATA_LOST)
 
 

@@ -17,6 +17,7 @@ from repro.scheduling.base import (
     ExternalScheduler,
     LocalScheduler,
 )
+from repro.scheduling.registry import DS_NAMES, ES_NAMES
 
 
 class TestExternalRegistry:
@@ -33,6 +34,15 @@ class TestExternalRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown external"):
             make_external_scheduler("JobMagic", random.Random(0))
+
+    @pytest.mark.parametrize("name", ES_NAMES)
+    def test_every_exported_name_builds(self, name):
+        es = make_external_scheduler(name, random.Random(0))
+        assert isinstance(es, ExternalScheduler)
+
+    def test_exported_names_cover_health_variants(self):
+        assert set(ALL_ES) < set(ES_NAMES)
+        assert {f"{es}+Health" for es in ALL_ES} < set(ES_NAMES)
 
 
 class TestLocalRegistry:
@@ -71,3 +81,15 @@ class TestDatasetRegistry:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown dataset"):
             make_dataset_scheduler("DataMagic", random.Random(0))
+
+    @pytest.mark.parametrize("name", DS_NAMES)
+    def test_every_exported_name_builds(self, name):
+        ds = make_dataset_scheduler(name, random.Random(0))
+        assert isinstance(ds, DatasetScheduler)
+        assert ds.name == name
+
+    def test_unknown_error_lists_every_name(self):
+        with pytest.raises(ValueError) as excinfo:
+            make_dataset_scheduler("DataMagic", random.Random(0))
+        for name in DS_NAMES:
+            assert name in str(excinfo.value)
