@@ -336,15 +336,10 @@ class DataGrid:
             site_name = site_hint
         else:
             site_name = self._select_site(job)
-        if self.info.replica_view is not None:
-            site_name = self._resolve_misdirection(job, site_name)
-        if self.overload is not None and self.overload.queue_capacity > 0:
-            resolved = self._resolve_saturation(job, site_name)
-            if resolved is None:
-                self._mark_shed(job)
-                return self.sim.process(self._shed_process(job),
-                                        name=f"shed:job{job.job_id}")
-            site_name = resolved
+        site_name = self._hand_off(job, site_name)
+        if site_name is None:
+            return self.sim.process(self._shed_process(job),
+                                    name=f"shed:job{job.job_id}")
         self.lifecycle.dispatch(job, site_name)
         return self.sites[site_name].enqueue(job)
 
@@ -385,45 +380,60 @@ class DataGrid:
     def _select_site(self, job: Job) -> str:
         """Ask the primary ES for a site, with degraded-mode fallback.
 
-        Without an overload policy this is exactly the old select + guard
-        sequence.  With one, a primary that *wedges* (raises ``ValueError``
-        because it found no candidate) is answered by the degraded
-        selector over the up sites instead of killing the submission.
+        A primary that *wedges* (raises ``ValueError``: no candidate) is
+        answered by the degraded selector over the usable sites under an
+        overload policy.  If the health detector hides every site in a
+        fault-free run (false positives can do this), the job is placed
+        over all sites instead.  Otherwise the error propagates.
         """
-        if self.overload is None:
-            try:
-                site_name = self.external_scheduler.select_site(job, self)
-            except ValueError:
-                if self.health is None or self.faults is not None:
-                    raise
-                # Every site is detector-hidden (false positives can do
-                # this in a fault-free run): place least-loaded over the
-                # physical sites rather than wedging the submission.
-                site_name = min(sorted(self.sites),
-                                key=lambda s: (self.sites[s].load, s))
-        else:
-            try:
-                site_name = self.external_scheduler.select_site(job, self)
-            except ValueError:
+        try:
+            site_name = self.external_scheduler.select_site(job, self)
+        except ValueError:
+            candidates = []
+            if self.overload is not None:
                 # Observed mode must not consult the fault oracle here;
                 # the breakers are the only site-health knowledge.
                 observed = (self.health is not None
                             and self.health.policy.observed_only)
-                candidates = [
-                    name for name in sorted(self.sites)
-                    if (self.faults is None or observed
-                        or self.faults.is_up(name))
-                    and (self.health is None or self.health.allows(name))]
-                if not candidates:
-                    if self.health is not None and self.faults is None:
-                        candidates = sorted(self.sites)
-                    else:
-                        raise
-                return self._degraded_select(job, candidates)
+                candidates = [name for name in sorted(self.sites)
+                              if self._usable(name, oracle=not observed)]
+            if not candidates:
+                if self.health is None or self.faults is not None:
+                    raise
+                candidates = sorted(self.sites)
+            if self.overload is None:
+                return min(candidates,
+                           key=lambda s: (self.sites[s].load, s))
+            return self._degraded_select(job, candidates)
         if site_name not in self.sites:
             raise ValueError(
                 f"{self.external_scheduler!r} chose unknown site "
                 f"{site_name!r}")
+        return site_name
+
+    def _usable(self, name: str, oracle: bool = True) -> bool:
+        """Whether work may be placed at a site: the fault oracle (when
+        consulted) says it is up and its health breaker is closed."""
+        return ((not oracle or self.faults is None
+                 or self.faults.is_up(name))
+                and (self.health is None or self.health.allows(name)))
+
+    def _hand_off(self, job: Job, site_name: str) -> Optional[str]:
+        """The destination's acceptance check before a dispatch.
+
+        Resolves a misdirected dispatch (stale catalog), then a full
+        queue (overload).  Returns the site the job goes to, or ``None``
+        after shedding it because no site has room.
+        """
+        if self.info.replica_view is not None:
+            site_name = self._resolve_misdirection(job, site_name)
+        if self.overload is not None and self.overload.queue_capacity > 0:
+            site_name = self._resolve_saturation(job, site_name)
+            if site_name is None:
+                self.lifecycle.shed(job, f"queues saturated (capacity "
+                                    f"{self.overload.queue_capacity}, "
+                                    f"{job.deflections} deflections)")
+                self.overload_stats.jobs_shed += 1
         return site_name
 
     def _resolve_saturation(self, job: Job,
@@ -438,11 +448,8 @@ class DataGrid:
         policy = self.overload
         cap = policy.queue_capacity
         while self.sites[site_name].load >= cap:
-            candidates = [
-                name for name, site in sorted(self.sites.items())
-                if site.load < cap
-                and (self.faults is None or self.faults.is_up(name))
-                and (self.health is None or self.health.allows(name))]
+            candidates = [name for name, site in sorted(self.sites.items())
+                          if site.load < cap and self._usable(name)]
             if not candidates or job.deflections >= policy.deflect_budget:
                 return None
             self.overload_stats.jobs_deflected += 1
@@ -474,14 +481,6 @@ class DataGrid:
                 self.sim.now, "es.degraded", job=job.job_id, site=choice,
                 es=self.overload.degraded_es or "least-loaded")
         return choice
-
-    def _mark_shed(self, job: Job) -> None:
-        """Terminal admission refusal: account, never silently drop."""
-        self.lifecycle.shed(
-            job,
-            f"queues saturated (capacity {self.overload.queue_capacity}, "
-            f"{job.deflections} deflections)")
-        self.overload_stats.jobs_shed += 1
 
     @staticmethod
     def _shed_process(job: Job):
@@ -527,13 +526,10 @@ class DataGrid:
                 raise ValueError(
                     f"{self.external_scheduler!r} chose unknown site "
                     f"{candidate!r}")
-            if self.faults is not None and not self.faults.is_up(candidate):
-                # Bouncing onto a dead site would trade one phantom for
-                # another; keep the original choice and fetch remotely.
-                return site_name
-            if self.health is not None and not self.health.allows(candidate):
-                # Same logic through the observed channel: the breaker
-                # says the candidate is unhealthy.
+            if not self._usable(candidate):
+                # Bouncing onto a dead site (or one its breaker says is
+                # unhealthy) would trade one phantom for another; keep
+                # the original choice and fetch remotely.
                 return site_name
             view.bounced_jobs += 1
             self.lifecycle.bounce(job, origin=site_name, site=candidate)
@@ -623,15 +619,9 @@ class DataGrid:
                 if faults.any_site_up():
                     yield faults.recovery_event()
                 continue  # wait for recovery / re-admission
-            if self.info.replica_view is not None:
-                site_name = self._resolve_misdirection(job, site_name)
-            if (self.overload is not None
-                    and self.overload.queue_capacity > 0):
-                resolved = self._resolve_saturation(job, site_name)
-                if resolved is None:
-                    self._mark_shed(job)
-                    return job
-                site_name = resolved
+            site_name = self._hand_off(job, site_name)
+            if site_name is None:
+                return job
             self.lifecycle.dispatch(job, site_name,
                                     attempt=job.retries + 1)
             yield self.sites[site_name].enqueue(job)
