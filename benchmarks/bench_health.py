@@ -16,7 +16,7 @@ top-level ``BENCH_health.json`` — the committed baseline that
 import random
 
 from repro.grid import Dataset, DatasetCollection, DataGrid, Job
-from repro.grid.health import HealthPolicy
+from repro.grid.health import LINK_FAILURE_THRESHOLD, HealthPolicy
 from repro.network import Topology
 from repro.scheduling import DataDoNothing, FIFOLocalScheduler, JobLeastLoaded
 from repro.sim import Simulator
@@ -127,11 +127,10 @@ def test_breaker_feedback_churn(benchmark):
     link, half of them tripping and re-closing the breaker."""
     sim, grid = _make_grid(DETECTOR)
     health = grid.health
-    threshold = health.policy.link_failure_threshold
 
     def run():
-        for _ in range(N_FEEDBACK_CYCLES // (threshold + 1)):
-            for _ in range(threshold):
+        for _ in range(N_FEEDBACK_CYCLES // (LINK_FAILURE_THRESHOLD + 1)):
+            for _ in range(LINK_FAILURE_THRESHOLD):
                 health.record_transfer_failure("site01", "site02")
             health.record_transfer_success("site01", "site02")
         return health

@@ -18,9 +18,10 @@ All commands accept the configuration overrides listed under
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.experiments import sensitivity
 from repro.experiments.config import SimulationConfig
@@ -31,206 +32,27 @@ from repro.experiments.paper import (
     reproduce_figure5,
     table1_parameters,
 )
-from repro.experiments.runner import make_workload, run_matrix, run_single
+from repro.experiments.runner import (
+    ALLOCATORS,
+    TOPOLOGIES,
+    make_workload,
+    run_matrix,
+    run_single,
+)
+from repro.faults.plan import (
+    FaultPlan,
+    FaultPlanError,
+    NetworkPartition,
+    OutageGroup,
+    ReplicaCorruption,
+    ReplicaLoss,
+)
+from repro.grid.durability import PLACEMENTS
 from repro.metrics.report import format_matrix, format_run
 from repro.scheduling.registry import ALL_DS, ALL_ES, DS_NAMES, ES_NAMES
+from repro.workload.dag import DAG_SHAPES
+from repro.workload.popularity import POPULARITY_MODELS
 from repro.workload.traces import save_workload
-
-
-def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group(
-        "configuration overrides (defaults = paper Table 1)")
-    group.add_argument("--scale", type=float, default=1.0,
-                       help="scale users/sites/datasets/jobs together "
-                            "(default 1.0 = paper scale)")
-    group.add_argument("--bandwidth", type=float, default=None,
-                       metavar="MBPS", help="link bandwidth in MB/s")
-    group.add_argument("--n-jobs", type=int, default=None,
-                       help="total number of jobs in the workload")
-    group.add_argument("--sites", type=int, default=None,
-                       help="number of sites")
-    group.add_argument("--users", type=int, default=None,
-                       help="number of users")
-    group.add_argument("--datasets", type=int, default=None,
-                       help="number of datasets")
-    group.add_argument("--storage-gb", type=float, default=None,
-                       help="per-site storage in GB")
-    group.add_argument("--topology", default=None,
-                       choices=["hierarchical", "star", "ring", "random"])
-    group.add_argument("--geometric-p", type=float, default=None,
-                       help="geometric popularity skew")
-    group.add_argument("--popularity", default=None,
-                       choices=["geometric", "zipf", "uniform"])
-    group.add_argument("--inputs-per-job", type=int, default=None)
-    group.add_argument("--output-fraction", type=float, default=None,
-                       help="output size as a fraction of input size")
-    group.add_argument("--info-refresh", type=float, default=None,
-                       metavar="SECONDS",
-                       help="information-service staleness (0 = live)")
-    group.add_argument("--catalog-delay", type=float, default=None,
-                       metavar="SECONDS",
-                       help="replica-catalog propagation delay "
-                            "(0 = live catalog)")
-    group.add_argument("--info-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="serve last-known loads for stale-marked "
-                            "sites up to this long (0 = off)")
-    group.add_argument("--watchdog", default=None, choices=["on", "off"],
-                       help="runtime invariant watchdog (read-only "
-                            "checks; default off)")
-    group.add_argument("--allocator", default=None,
-                       choices=["equal-share", "max-min"])
-    group.add_argument("--seed", type=int, default=0)
-    faults = parser.add_argument_group(
-        "fault injection (default: no faults; any of these enables the "
-        "repro.faults layer — runs stay seed-reproducible)")
-    faults.add_argument("--fault-plan", default=None, metavar="FILE",
-                        help="JSON fault plan (see FaultPlan.save)")
-    faults.add_argument("--site-mtbf", type=float, default=None,
-                        metavar="SECONDS",
-                        help="mean time between site failures "
-                             "(exponential; 0 = never)")
-    faults.add_argument("--site-mttr", type=float, default=None,
-                        metavar="SECONDS",
-                        help="mean site repair time (default 1800)")
-    faults.add_argument("--link-drop-rate", type=float, default=None,
-                        metavar="PROB",
-                        help="probability that any individual transfer is "
-                             "dropped mid-flight")
-    faults.add_argument("--fault-seed", type=int, default=None,
-                        help="seed for the stochastic fault stream "
-                             "(default: the run seed)")
-    faults.add_argument("--partition", action="append", default=None,
-                        metavar="SITES@START:END",
-                        help="network partition window, e.g. "
-                             "site00,site01@1800:3600 (end may be 'inf'; "
-                             "repeatable)")
-    faults.add_argument("--outage-group", action="append", default=None,
-                        metavar="SITES@START:END",
-                        help="rack-correlated outage: the listed sites "
-                             "fail and recover together (repeatable)")
-    faults.add_argument("--flap-sites", default=None, metavar="SITES",
-                        help="comma-separated sites that flap on their "
-                             "own fast MTBF/MTTR loop")
-    faults.add_argument("--flap-mtbf", type=float, default=None,
-                        metavar="SECONDS",
-                        help="mean up-time between flaps")
-    faults.add_argument("--flap-mttr", type=float, default=None,
-                        metavar="SECONDS",
-                        help="mean flap outage duration (default 60)")
-    faults.add_argument("--corrupt-replica", action="append", default=None,
-                        metavar="SITE:DATASET@TIME",
-                        help="silently corrupt one stored copy at the "
-                             "given time, e.g. site00:d3@1800 "
-                             "(repeatable)")
-    faults.add_argument("--lose-replica", action="append", default=None,
-                        metavar="SITE:DATASET@TIME",
-                        help="destroy one stored copy outright at the "
-                             "given time (repeatable)")
-    faults.add_argument("--corruption-mtbf", type=float, default=None,
-                        metavar="SECONDS",
-                        help="mean time between silent bit-rot events "
-                             "per site (0 = never)")
-    faults.add_argument("--corruption-sites", default=None, metavar="SITES",
-                        help="comma-separated sites subject to bit-rot "
-                             "(default: all sites)")
-    overload = parser.add_argument_group(
-        "overload protection (default: all off — unbounded queues, no "
-        "deadlines, no reservations; the paper's model)")
-    overload.add_argument("--queue-capacity", type=int, default=None,
-                          metavar="JOBS",
-                          help="per-site waiting-job bound (0 = unbounded); "
-                               "dispatches onto a full queue deflect, then "
-                               "shed")
-    overload.add_argument("--deflect-budget", type=int, default=None,
-                          metavar="N",
-                          help="deflections tolerated per dispatch before "
-                               "a job is shed (default 1)")
-    overload.add_argument("--job-deadline", type=float, default=None,
-                          metavar="SECONDS",
-                          help="queue-wait deadline per job (0 = none); "
-                               "expired jobs leave the queue counted, "
-                               "never run")
-    overload.add_argument("--aging-factor", type=float, default=None,
-                          metavar="RATE",
-                          help="priority-aging rate for queue-reordering "
-                               "local schedulers (0 = off)")
-    overload.add_argument("--degraded-es", default=None, metavar="ES",
-                          help="External Scheduler used for deflection "
-                               "targets (default: least-loaded scan)")
-    overload.add_argument("--storage-reservations", default=None,
-                          choices=["on", "off"],
-                          help="route transfers through the storage "
-                               "reservation ledger (no overcommit)")
-    overload.add_argument("--arrival-rate", type=float, default=None,
-                          metavar="JOBS_PER_S",
-                          help="open-loop Poisson arrival rate replacing "
-                               "the closed-loop users (0 = closed loop)")
-    dag = parser.add_argument_group(
-        "DAG workloads (default: none — the paper's independent jobs)")
-    dag.add_argument("--dag-shape", default=None,
-                     choices=["none", "chain", "diamond", "fanout",
-                              "mapreduce"],
-                     help="wire each user's jobs into dependency motifs; "
-                          "jobs are released as their parents complete")
-    dag.add_argument("--dag-width", type=int, default=None, metavar="N",
-                     help="fan-out / map count for shapes that have one "
-                          "(default 3)")
-    dag.add_argument("--bulk", default=None, choices=["on", "off"],
-                     help="place each released batch group-at-a-time by "
-                          "input-set signature (needs a DAG shape)")
-    health = parser.add_argument_group(
-        "failure detection (default: all off — no heartbeats, no "
-        "breakers, no speculation; the paper's oracle model)")
-    health.add_argument("--heartbeat", type=float, default=None,
-                        metavar="SECONDS",
-                        help="heartbeat interval; > 0 installs the "
-                             "observed failure detector (0 = off)")
-    health.add_argument("--heartbeat-jitter", type=float, default=None,
-                        metavar="FRACTION",
-                        help="uniform jitter fraction on heartbeat "
-                             "spacing, in [0, 1)")
-    health.add_argument("--phi-threshold", type=float, default=None,
-                        metavar="PHI",
-                        help="suspect a site when the silence exceeds "
-                             "this multiple of its mean heartbeat "
-                             "spacing (default 3)")
-    health.add_argument("--probe-interval", type=float, default=None,
-                        metavar="SECONDS",
-                        help="base delay between recovery probes of a "
-                             "tripped site (default 30)")
-    health.add_argument("--observed-only", default=None,
-                        choices=["on", "off"],
-                        help="cut the oracle channel: schedulers learn "
-                             "of failures only through heartbeats and "
-                             "dispatch errors")
-    health.add_argument("--speculate-quantile", type=float, default=None,
-                        metavar="Q",
-                        help="straggler quantile in [0, 1); > 0 enables "
-                             "speculative backup execution (0 = off)")
-    health.add_argument("--speculate-multiplier", type=float, default=None,
-                        metavar="X",
-                        help="a job is a straggler once it runs this "
-                             "multiple of the quantile duration "
-                             "(default 2)")
-    durability = parser.add_argument_group(
-        "data durability (default: all off — no checksums, no scrubbing, "
-        "single unrepaired primaries; the paper's model)")
-    durability.add_argument("--replication-factor", type=int, default=None,
-                            metavar="N",
-                            help="target live replicas per dataset "
-                                 "(> 1 needs --repair on; default 1)")
-    durability.add_argument("--repair", default=None, choices=["on", "off"],
-                            help="re-replicate datasets that fall below "
-                                 "the target factor")
-    durability.add_argument("--scrub-interval", type=float, default=None,
-                            metavar="SECONDS",
-                            help="background checksum-scrubber period "
-                                 "(0 = detect on access only)")
-    durability.add_argument("--repair-placement", default=None,
-                            choices=["closest", "forecast"],
-                            help="repair source/destination policy "
-                                 "(default closest)")
 
 
 def _parse_window_spec(spec: str, flag: str):
@@ -258,140 +80,243 @@ def _parse_replica_spec(spec: str, flag: str):
     return site, dataset, float(time_part)
 
 
-def _build_fault_plan(args: argparse.Namespace):
-    """Compose the FaultPlan from --fault-plan plus scalar overrides."""
-    from repro.faults.plan import (
-        FaultPlan,
-        NetworkPartition,
-        OutageGroup,
-        ReplicaCorruption,
-        ReplicaLoss,
-    )
 
-    relevant = (args.fault_plan, args.site_mtbf, args.site_mttr,
-                args.link_drop_rate, args.fault_seed, args.partition,
-                args.outage_group, args.flap_sites, args.flap_mtbf,
-                args.flap_mttr, args.corrupt_replica, args.lose_replica,
-                args.corruption_mtbf, args.corruption_sites)
-    if all(value is None for value in relevant):
-        return None
-    plan = (FaultPlan.load(args.fault_plan)
-            if args.fault_plan is not None else FaultPlan.none())
-    overrides = {}
-    if args.site_mtbf is not None:
-        overrides["site_mtbf_s"] = args.site_mtbf
-    if args.site_mttr is not None:
-        overrides["site_mttr_s"] = args.site_mttr
-    if args.link_drop_rate is not None:
-        overrides["transfer_fail_prob"] = args.link_drop_rate
-    if args.fault_seed is not None:
-        overrides["seed"] = args.fault_seed
-    if args.partition is not None:
-        extra = []
-        for spec in args.partition:
-            sites, start, end = _parse_window_spec(spec, "--partition")
-            extra.append(
-                NetworkPartition(sites=sites, start_s=start, end_s=end))
-        overrides["partitions"] = plan.partitions + tuple(extra)
-    if args.outage_group is not None:
-        extra = []
-        for spec in args.outage_group:
-            sites, start, end = _parse_window_spec(spec, "--outage-group")
-            extra.append(OutageGroup(sites=sites, start_s=start, end_s=end))
-        overrides["outage_groups"] = plan.outage_groups + tuple(extra)
-    if args.flap_sites is not None:
-        overrides["flap_sites"] = tuple(
-            s for s in args.flap_sites.split(",") if s)
-    if args.flap_mtbf is not None:
-        overrides["flap_mtbf_s"] = args.flap_mtbf
-    if args.flap_mttr is not None:
-        overrides["flap_mttr_s"] = args.flap_mttr
-    if args.corrupt_replica is not None:
-        extra = []
-        for spec in args.corrupt_replica:
-            site, dataset, time = _parse_replica_spec(
-                spec, "--corrupt-replica")
-            extra.append(ReplicaCorruption(site=site, dataset=dataset,
-                                           time_s=time))
-        overrides["replica_corruptions"] = (plan.replica_corruptions
-                                            + tuple(extra))
-    if args.lose_replica is not None:
-        extra = []
-        for spec in args.lose_replica:
-            site, dataset, time = _parse_replica_spec(spec, "--lose-replica")
-            extra.append(ReplicaLoss(site=site, dataset=dataset,
-                                     time_s=time))
-        overrides["replica_losses"] = plan.replica_losses + tuple(extra)
-    if args.corruption_mtbf is not None:
-        overrides["corruption_mtbf_s"] = args.corruption_mtbf
-    if args.corruption_sites is not None:
-        overrides["corruption_sites"] = tuple(
-            s for s in args.corruption_sites.split(",") if s)
-    if overrides:
-        plan = plan.with_(**overrides)
-    return plan
+#: Every configuration flag, one row each under its argument-group
+#: title: (flag, target field, metavar, help).  The target is a field of
+#: the group's class (the fault-injection flags set FaultPlan fields);
+#: ``None`` marks ``--scale`` and ``--fault-plan``, which set no field.
+_CONFIG_FLAGS = (
+    ("configuration overrides (defaults = paper Table 1)",
+     SimulationConfig, (
+         ("--scale", None, None,
+          "scale users/sites/datasets/jobs together "
+          "(default 1.0 = paper scale)"),
+         ("--bandwidth", "bandwidth_mbps", "MBPS", "link bandwidth in MB/s"),
+         ("--n-jobs", "n_jobs", None, "total number of jobs in the workload"),
+         ("--sites", "n_sites", None, "number of sites"),
+         ("--users", "n_users", None, "number of users"),
+         ("--datasets", "n_datasets", None, "number of datasets"),
+         ("--storage-gb", "storage_capacity_mb", None,
+          "per-site storage in GB"),
+         ("--topology", "topology", None, None),
+         ("--geometric-p", "geometric_p", None, "geometric popularity skew"),
+         ("--popularity", "popularity_model", None, None),
+         ("--inputs-per-job", "inputs_per_job", None, None),
+         ("--output-fraction", "output_fraction", None,
+          "output size as a fraction of input size"),
+         ("--info-refresh", "info_refresh_interval_s", "SECONDS",
+          "information-service staleness (0 = live)"),
+         ("--catalog-delay", "catalog_delay_s", "SECONDS",
+          "replica-catalog propagation delay (0 = live catalog)"),
+         ("--info-timeout", "info_timeout_s", "SECONDS",
+          "serve last-known loads for stale-marked sites up to this long "
+          "(0 = off)"),
+         ("--watchdog", "watchdog", None,
+          "runtime invariant watchdog (read-only checks; default off)"),
+         ("--allocator", "allocator", None, None),
+         ("--seed", "seed", None, None),
+     )),
+    ("fault injection (default: no faults; any of these enables the "
+     "repro.faults layer — runs stay seed-reproducible)",
+     FaultPlan, (
+         ("--fault-plan", None, "FILE",
+          "JSON fault plan (see FaultPlan.save)"),
+         ("--site-mtbf", "site_mtbf_s", "SECONDS",
+          "mean time between site failures (exponential; 0 = never)"),
+         ("--site-mttr", "site_mttr_s", "SECONDS",
+          "mean site repair time (default 1800)"),
+         ("--link-drop-rate", "transfer_fail_prob", "PROB",
+          "probability that any individual transfer is dropped "
+          "mid-flight"),
+         ("--fault-seed", "seed", None,
+          "seed for the stochastic fault stream (default: the run seed)"),
+         ("--partition", "partitions", "SITES@START:END",
+          "network partition window, e.g. site00,site01@1800:3600 (end "
+          "may be 'inf'; repeatable)"),
+         ("--outage-group", "outage_groups", "SITES@START:END",
+          "rack-correlated outage: the listed sites fail and recover "
+          "together (repeatable)"),
+         ("--flap-sites", "flap_sites", "SITES",
+          "comma-separated sites that flap on their own fast MTBF/MTTR "
+          "loop"),
+         ("--flap-mtbf", "flap_mtbf_s", "SECONDS",
+          "mean up-time between flaps"),
+         ("--flap-mttr", "flap_mttr_s", "SECONDS",
+          "mean flap outage duration (default 60)"),
+         ("--corrupt-replica", "replica_corruptions", "SITE:DATASET@TIME",
+          "silently corrupt one stored copy at the given time, e.g. "
+          "site00:d3@1800 (repeatable)"),
+         ("--lose-replica", "replica_losses", "SITE:DATASET@TIME",
+          "destroy one stored copy outright at the given time "
+          "(repeatable)"),
+         ("--corruption-mtbf", "corruption_mtbf_s", "SECONDS",
+          "mean time between silent bit-rot events per site (0 = never)"),
+         ("--corruption-sites", "corruption_sites", "SITES",
+          "comma-separated sites subject to bit-rot (default: all sites)"),
+     )),
+    ("overload protection (default: all off — unbounded queues, no "
+     "deadlines, no reservations; the paper's model)",
+     SimulationConfig, (
+         ("--queue-capacity", "queue_capacity", "JOBS",
+          "per-site waiting-job bound (0 = unbounded); dispatches onto a "
+          "full queue deflect, then shed"),
+         ("--deflect-budget", "deflect_budget", "N",
+          "deflections tolerated per dispatch before a job is shed "
+          "(default 1)"),
+         ("--job-deadline", "job_deadline_s", "SECONDS",
+          "queue-wait deadline per job (0 = none); expired jobs leave the "
+          "queue counted, never run"),
+         ("--aging-factor", "aging_factor", "RATE",
+          "priority-aging rate for queue-reordering local schedulers "
+          "(0 = off)"),
+         ("--degraded-es", "degraded_es", "ES",
+          "External Scheduler used for deflection targets (default: "
+          "least-loaded scan)"),
+         ("--storage-reservations", "storage_reservations", None,
+          "route transfers through the storage reservation ledger (no "
+          "overcommit)"),
+         ("--arrival-rate", "arrival_rate_per_s", "JOBS_PER_S",
+          "open-loop Poisson arrival rate replacing the closed-loop users "
+          "(0 = closed loop)"),
+     )),
+    ("DAG workloads (default: none — the paper's independent jobs)",
+     SimulationConfig, (
+         ("--dag-shape", "dag_shape", None,
+          "wire each user's jobs into dependency motifs; jobs are "
+          "released as their parents complete"),
+         ("--dag-width", "dag_width", "N",
+          "fan-out / map count for shapes that have one (default 3)"),
+         ("--bulk", "bulk_submission", None,
+          "place each released batch group-at-a-time by input-set "
+          "signature (needs a DAG shape)"),
+     )),
+    ("failure detection (default: all off — no heartbeats, no breakers, "
+     "no speculation; the paper's oracle model)",
+     SimulationConfig, (
+         ("--heartbeat", "health_heartbeat_s", "SECONDS",
+          "heartbeat interval; > 0 installs the observed failure detector "
+          "(0 = off)"),
+         ("--heartbeat-jitter", "health_heartbeat_jitter", "FRACTION",
+          "uniform jitter fraction on heartbeat spacing, in [0, 1)"),
+         ("--phi-threshold", "health_phi_threshold", "PHI",
+          "suspect a site when the silence exceeds this multiple of its "
+          "mean heartbeat spacing (default 3)"),
+         ("--probe-interval", "health_probe_interval_s", "SECONDS",
+          "base delay between recovery probes of a tripped site "
+          "(default 30)"),
+         ("--observed-only", "health_observed_only", None,
+          "cut the oracle channel: schedulers learn of failures only "
+          "through heartbeats and dispatch errors"),
+         ("--speculate-quantile", "speculate_quantile", "Q",
+          "straggler quantile in [0, 1); > 0 enables speculative backup "
+          "execution (0 = off)"),
+         ("--speculate-multiplier", "speculate_multiplier", "X",
+          "a job is a straggler once it runs this multiple of the "
+          "quantile duration (default 2)"),
+     )),
+    ("data durability (default: all off — no checksums, no scrubbing, "
+     "single unrepaired primaries; the paper's model)",
+     SimulationConfig, (
+         ("--replication-factor", "replication_factor", "N",
+          "target live replicas per dataset (> 1 needs --repair on; "
+          "default 1)"),
+         ("--repair", "durability_repair", None,
+          "re-replicate datasets that fall below the target factor"),
+         ("--scrub-interval", "scrub_interval_s", "SECONDS",
+          "background checksum-scrubber period (0 = detect on access "
+          "only)"),
+         ("--repair-placement", "repair_placement", None,
+          "repair source/destination policy (default closest)"),
+     )),
+)
+
+#: The allowed values of the fields that name a registered choice.
+_CHOICES = {
+    "topology": TOPOLOGIES,
+    "popularity_model": POPULARITY_MODELS,
+    "allocator": ALLOCATORS,
+    "dag_shape": DAG_SHAPES,
+    "repair_placement": PLACEMENTS,
+}
+
+#: The repeatable fault specs: flag → (spec parser, FaultPlan record).
+_SPECS = {
+    "--partition": (_parse_window_spec, NetworkPartition),
+    "--outage-group": (_parse_window_spec, OutageGroup),
+    "--corrupt-replica": (_parse_replica_spec, ReplicaCorruption),
+    "--lose-replica": (_parse_replica_spec, ReplicaLoss),
+}
+
+
+def _field_types(owner) -> Dict[str, str]:
+    """Field name → declared type, as written, of a config dataclass."""
+    return {f.name: f.type for f in dataclasses.fields(owner)}
+
+
+def _parse_switch(text: str) -> bool:
+    """An on/off switch value as a bool."""
+    if text not in ("on", "off"):
+        raise ValueError(f"expected on or off, got {text!r}")
+    return text == "on"
+
+
+def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add the :data:`_CONFIG_FLAGS`.  A flag's type comes from its
+    field's declared type, bool fields take on/off, and every flag but
+    ``--scale`` and ``--seed`` defaults to None (leave the field be)."""
+    for title, owner, rows in _CONFIG_FLAGS:
+        group = parser.add_argument_group(title)
+        types = _field_types(owner)
+        for flag, field, metavar, text in rows:
+            kind = types.get(field)
+            options = {"default": None, "metavar": metavar, "help": text}
+            if kind == "bool":
+                options["choices"] = ["on", "off"]
+            elif field in _CHOICES:
+                options["choices"] = list(_CHOICES[field])
+            elif kind in ("int", "float"):
+                options["type"] = {"int": int, "float": float}[kind]
+            if flag in _SPECS:
+                options["action"] = "append"
+            elif flag == "--scale":
+                options.update(type=float, default=1.0)
+            elif flag == "--seed":
+                options["default"] = 0
+            group.add_argument(flag, **options)
 
 
 def _build_config(args: argparse.Namespace) -> SimulationConfig:
-    config = SimulationConfig.paper(seed=args.seed)
+    """The configuration the parsed :data:`_CONFIG_FLAGS` describe."""
+    config = SimulationConfig.paper()
     if args.scale != 1.0:
+        # Scale first, so explicit counts still win.
         config = config.scaled(args.scale)
-    fault_plan = _build_fault_plan(args)
-    if fault_plan is not None:
-        config = config.with_(fault_plan=fault_plan)
-    overrides = {}
-    mapping = {
-        "bandwidth": "bandwidth_mbps",
-        "n_jobs": "n_jobs",
-        "sites": "n_sites",
-        "users": "n_users",
-        "datasets": "n_datasets",
-        "topology": "topology",
-        "geometric_p": "geometric_p",
-        "popularity": "popularity_model",
-        "inputs_per_job": "inputs_per_job",
-        "output_fraction": "output_fraction",
-        "info_refresh": "info_refresh_interval_s",
-        "catalog_delay": "catalog_delay_s",
-        "info_timeout": "info_timeout_s",
-        "allocator": "allocator",
-        "queue_capacity": "queue_capacity",
-        "deflect_budget": "deflect_budget",
-        "job_deadline": "job_deadline_s",
-        "aging_factor": "aging_factor",
-        "degraded_es": "degraded_es",
-        "arrival_rate": "arrival_rate_per_s",
-        "dag_shape": "dag_shape",
-        "dag_width": "dag_width",
-        "heartbeat": "health_heartbeat_s",
-        "heartbeat_jitter": "health_heartbeat_jitter",
-        "phi_threshold": "health_phi_threshold",
-        "probe_interval": "health_probe_interval_s",
-        "speculate_quantile": "speculate_quantile",
-        "speculate_multiplier": "speculate_multiplier",
-        "replication_factor": "replication_factor",
-        "scrub_interval": "scrub_interval_s",
-        "repair_placement": "repair_placement",
-    }
-    for arg_name, field in mapping.items():
-        value = getattr(args, arg_name)
-        if value is not None:
-            overrides[field] = value
-    if args.watchdog is not None:
-        overrides["watchdog"] = args.watchdog == "on"
-    if args.observed_only is not None:
-        overrides["health_observed_only"] = args.observed_only == "on"
-    if args.storage_reservations is not None:
-        overrides["storage_reservations"] = args.storage_reservations == "on"
-    if args.repair is not None:
-        overrides["durability_repair"] = args.repair == "on"
-    if args.bulk is not None:
-        overrides["bulk_submission"] = args.bulk == "on"
-    if args.storage_gb is not None:
-        overrides["storage_capacity_mb"] = args.storage_gb * 1000.0
-    if overrides:
-        config = config.with_(**overrides)
-    return config
+    plan = (FaultPlan.load(args.fault_plan)
+            if args.fault_plan is not None else FaultPlan.none())
+    settings = {SimulationConfig: {}, FaultPlan: {}}
+    for _, owner, rows in _CONFIG_FLAGS:
+        types = _field_types(owner)
+        for flag, field, _, _ in rows:
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is None or field is None:
+                continue
+            if flag in _SPECS:
+                parse, record = _SPECS[flag]
+                value = getattr(plan, field) + tuple(
+                    record(*parse(spec, flag)) for spec in value)
+            elif flag == "--storage-gb":
+                value *= 1000.0
+            elif types[field] == "bool":
+                value = _parse_switch(value)
+            elif types[field] == "Tuple[str, ...]":
+                value = tuple(s for s in value.split(",") if s)
+            settings[owner][field] = value
+    # Without fault flags the plan stays None, not a null plan: the two
+    # give different cache keys.
+    if args.fault_plan is not None or settings[FaultPlan]:
+        settings[SimulationConfig]["fault_plan"] = plan.with_(
+            **settings[FaultPlan])
+    return config.with_(**settings[SimulationConfig])
 
 
 def _add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
@@ -520,7 +445,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.sweep import sweep
 
     config = _build_config(args)
-    values = [_parse_value(v) for v in args.values]
+    # A bool field takes on/off like its flag: any other text would be a
+    # truthy string that arms the knob for every value.
+    parse = (_parse_switch
+             if _field_types(SimulationConfig).get(args.parameter) == "bool"
+             else _parse_value)
+    values = [parse(v) for v in args.values]
     result = sweep(config, args.parameter, values,
                    es_name=args.es, ds_name=args.ds,
                    seeds=tuple(args.seeds),
@@ -799,8 +729,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     they print one structured line on stderr and exit 2 — never a
     traceback.
     """
-    from repro.faults.plan import FaultPlanError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

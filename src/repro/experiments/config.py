@@ -23,13 +23,31 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.faults.plan import FaultPlan
+from repro.grid.durability import DurabilityPolicy
+from repro.grid.health import HealthPolicy
+from repro.grid.overload import OverloadPolicy
+from repro.grid.staleness import InfoPolicy
+from repro.workload.dag import DAG_SHAPES
 
 #: Table 1 bandwidth scenarios, MB/s.
 SCENARIO_1_BANDWIDTH = 10.0
 SCENARIO_2_BANDWIDTH = 100.0
+
+
+class LayerPolicies(NamedTuple):
+    """The policies :func:`~repro.experiments.runner.build_grid` arms.
+
+    Every field but ``info`` is ``None`` when its layer is null.
+    """
+
+    info: InfoPolicy
+    faults: Optional[FaultPlan]
+    overload: Optional[OverloadPolicy]
+    health: Optional[HealthPolicy]
+    durability: Optional[DurabilityPolicy]
 
 
 @dataclass(frozen=True)
@@ -200,6 +218,11 @@ class SimulationConfig:
             # Cache persistence round-trips configs through plain dicts.
             object.__setattr__(
                 self, "fault_plan", FaultPlan.from_json_dict(self.fault_plan))
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type == "bool" and not isinstance(value, bool):
+                raise ValueError(
+                    f"{field.name} must be True or False, got {value!r}")
         if self.n_users < 1 or self.n_sites < 1 or self.n_datasets < 1:
             raise ValueError("users, sites and datasets must all be >= 1")
         if self.n_jobs < self.n_users:
@@ -215,29 +238,10 @@ class SimulationConfig:
             raise ValueError(
                 "storage must exceed the largest dataset, otherwise no "
                 "site can ever cache a remote file")
-        if self.catalog_delay_s < 0:
-            raise ValueError(
-                f"catalog delay must be >= 0, got {self.catalog_delay_s!r}")
-        if self.info_timeout_s < 0:
-            raise ValueError(
-                f"info timeout must be >= 0, got {self.info_timeout_s!r}")
-        if self.queue_capacity < 0:
-            raise ValueError(
-                f"queue capacity must be >= 0, got {self.queue_capacity!r}")
-        if self.deflect_budget < 0:
-            raise ValueError(
-                f"deflect budget must be >= 0, got {self.deflect_budget!r}")
-        if self.job_deadline_s < 0:
-            raise ValueError(
-                f"job deadline must be >= 0, got {self.job_deadline_s!r}")
-        if self.aging_factor < 0:
-            raise ValueError(
-                f"aging factor must be >= 0, got {self.aging_factor!r}")
         if self.arrival_rate_per_s < 0:
             raise ValueError(
                 f"arrival rate must be >= 0, "
                 f"got {self.arrival_rate_per_s!r}")
-        from repro.workload.dag import DAG_SHAPES
         if self.dag_shape not in DAG_SHAPES:
             raise ValueError(
                 f"unknown DAG shape {self.dag_shape!r}; expected one of "
@@ -254,44 +258,56 @@ class SimulationConfig:
                 "DAG workloads are incompatible with open-loop arrivals: "
                 "release order is driven by dependencies, not a Poisson "
                 "stream")
-        # Health-layer knob sanity; the full cross-field validation lives
-        # in HealthPolicy.__post_init__ (constructed by build_grid).
-        if self.health_heartbeat_s < 0:
-            raise ValueError(
-                f"heartbeat interval must be >= 0, "
-                f"got {self.health_heartbeat_s!r}")
-        if self.health_observed_only and self.health_heartbeat_s == 0:
-            raise ValueError(
-                "observed-only mode needs the heartbeat detector: set "
-                "health_heartbeat_s > 0")
-        if not 0.0 <= self.speculate_quantile < 1.0:
-            raise ValueError(
-                f"speculation quantile must be in [0, 1), "
-                f"got {self.speculate_quantile!r}")
         if self.speculate_quantile > 0 and self.dag_shape != "none":
             raise ValueError(
                 "speculative execution is incompatible with DAG "
                 "workloads: dependency release keys on the primary "
                 "attempt reaching DONE")
-        # Durability knob sanity; cross-field validation lives in
-        # DurabilityPolicy.__post_init__ (constructed by build_grid).
-        if self.replication_factor < 1:
-            raise ValueError(
-                f"replication factor must be >= 1, "
-                f"got {self.replication_factor!r}")
-        if self.replication_factor > 1 and not self.durability_repair:
-            raise ValueError(
-                "replication_factor > 1 needs the RepairManager: set "
-                "durability_repair=True")
-        if self.scrub_interval_s < 0:
-            raise ValueError(
-                f"scrub interval must be >= 0, "
-                f"got {self.scrub_interval_s!r}")
-        from repro.grid.durability import PLACEMENTS
-        if self.repair_placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown repair placement {self.repair_placement!r}; "
-                f"expected one of {PLACEMENTS}")
+        # The layer knobs are checked by their policies, built here so a
+        # bad value fails when the config is made, not when it runs.
+        self.layer_policies()
+
+    def layer_policies(self) -> LayerPolicies:
+        """The optional layers' policies, each ``None`` when null.
+
+        A null layer is dropped entirely, so default configs take the
+        exact pre-layer code paths and never draw from its stream.
+        """
+        def armed(policy):
+            return None if policy is None or policy.is_null else policy
+
+        return LayerPolicies(
+            info=InfoPolicy(
+                refresh_interval_s=self.info_refresh_interval_s,
+                catalog_delay_s=self.catalog_delay_s,
+                query_timeout_s=self.info_timeout_s,
+            ),
+            faults=armed(self.fault_plan),
+            overload=armed(OverloadPolicy(
+                queue_capacity=self.queue_capacity,
+                deflect_budget=self.deflect_budget,
+                job_deadline_s=self.job_deadline_s,
+                aging_factor=self.aging_factor,
+                degraded_es=self.degraded_es,
+                storage_reservations=self.storage_reservations,
+            )),
+            health=armed(HealthPolicy(
+                heartbeat_interval_s=self.health_heartbeat_s,
+                heartbeat_jitter=self.health_heartbeat_jitter,
+                phi_threshold=self.health_phi_threshold,
+                probe_interval_s=self.health_probe_interval_s,
+                probe_backoff_cap_s=max(240.0, self.health_probe_interval_s),
+                observed_only=self.health_observed_only,
+                speculate_quantile=self.speculate_quantile,
+                speculate_multiplier=self.speculate_multiplier,
+            )),
+            durability=armed(DurabilityPolicy(
+                replication_factor=self.replication_factor,
+                repair=self.durability_repair,
+                scrub_interval_s=self.scrub_interval_s,
+                placement=self.repair_placement,
+            )),
+        )
 
     # -- factories -------------------------------------------------------------
 

@@ -9,7 +9,6 @@ same users, datasets, placements, and job sequences.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -18,9 +17,6 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.sweep import grid_sweep
 from repro.grid.arrivals import OpenArrivalProcess
 from repro.grid.grid import DataGrid
-from repro.grid.health import HealthPolicy
-from repro.grid.overload import OverloadPolicy
-from repro.grid.staleness import InfoPolicy
 from repro.grid.user import User
 from repro.metrics.collector import RunMetrics
 from repro.metrics.summary import MetricSummary, summarize
@@ -40,28 +36,31 @@ from repro.workload.generator import Workload, WorkloadGenerator
 from repro.workload.popularity import make_popularity_model
 
 
-def _build_topology(config: SimulationConfig,
-                    rng: random.Random) -> Topology:
-    if config.topology == "hierarchical":
-        return Topology.hierarchical(
-            config.n_sites, config.bandwidth_mbps,
-            branching=config.branching)
-    if config.topology == "star":
-        return Topology.star(config.n_sites, config.bandwidth_mbps)
-    if config.topology == "ring":
-        return Topology.ring(config.n_sites, config.bandwidth_mbps)
-    if config.topology == "random":
-        return Topology.random_geometric(
-            config.n_sites, config.bandwidth_mbps, rng=rng)
-    raise ValueError(f"unknown topology {config.topology!r}")
+#: Topology family name → builder of (config, "topology" stream).
+TOPOLOGIES = {
+    "hierarchical": lambda config, rng: Topology.hierarchical(
+        config.n_sites, config.bandwidth_mbps, branching=config.branching),
+    "star": lambda config, rng: Topology.star(
+        config.n_sites, config.bandwidth_mbps),
+    "ring": lambda config, rng: Topology.ring(
+        config.n_sites, config.bandwidth_mbps),
+    "random": lambda config, rng: Topology.random_geometric(
+        config.n_sites, config.bandwidth_mbps, rng=rng),
+}
+
+#: Transfer rate allocator name → class.
+ALLOCATORS = {
+    "equal-share": EqualShareAllocator,
+    "max-min": MaxMinFairAllocator,
+}
 
 
-def _make_allocator(config: SimulationConfig):
-    if config.allocator == "equal-share":
-        return EqualShareAllocator()
-    if config.allocator == "max-min":
-        return MaxMinFairAllocator()
-    raise ValueError(f"unknown allocator {config.allocator!r}")
+def _named(table: Dict[str, object], kind: str, name: str):
+    """The ``table`` entry called ``name``; ValueError if there is none."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ValueError(f"unknown {kind} {name!r}") from None
 
 
 def make_workload(config: SimulationConfig,
@@ -112,7 +111,8 @@ def build_grid(
     """
     streams = RandomStreams(config.seed if seed is None else seed)
     sim = Simulator()
-    topology = _build_topology(config, streams.stream("topology"))
+    topology = _named(TOPOLOGIES, "topology", config.topology)(
+        config, streams.stream("topology"))
 
     proc_rng = streams.stream("site-processors")
     site_processors = {
@@ -131,53 +131,10 @@ def build_grid(
         delete_idle_after_s=config.ds_delete_idle_after_s,
     )
 
-    # The "faults" stream is only drawn when a plan is active, so adding
-    # the fault layer cannot perturb any other stream in fault-free runs.
-    fault_plan = config.fault_plan
-    if fault_plan is not None and fault_plan.is_null:
-        fault_plan = None
-    # Same contract for the "overload" stream: a null policy is dropped
-    # entirely so default configs take the exact pre-overload paths.
-    overload_policy = OverloadPolicy(
-        queue_capacity=config.queue_capacity,
-        deflect_budget=config.deflect_budget,
-        job_deadline_s=config.job_deadline_s,
-        aging_factor=config.aging_factor,
-        degraded_es=config.degraded_es,
-        storage_reservations=config.storage_reservations,
-    )
-    if overload_policy.is_null:
-        overload_policy = None
-    # Same contract again for the "health" stream: a null policy is
-    # dropped, and the stream is drawn only when the layer is active.
-    health_policy = HealthPolicy(
-        heartbeat_interval_s=config.health_heartbeat_s,
-        heartbeat_jitter=config.health_heartbeat_jitter,
-        phi_threshold=config.health_phi_threshold,
-        probe_interval_s=config.health_probe_interval_s,
-        probe_backoff_cap_s=max(240.0, config.health_probe_interval_s),
-        observed_only=config.health_observed_only,
-        speculate_quantile=config.speculate_quantile,
-        speculate_multiplier=config.speculate_multiplier,
-    )
-    if health_policy.is_null:
-        health_policy = None
-    # Same contract for the "durability" stream: a null policy is
-    # dropped, and the stream is drawn only when the layer is armed —
-    # either by policy or by durability faults in the plan (the grid
-    # then auto-installs a detection-only manager).
-    from repro.grid.durability import DurabilityPolicy
-    durability_policy = DurabilityPolicy(
-        replication_factor=config.replication_factor,
-        repair=config.durability_repair,
-        scrub_interval_s=config.scrub_interval_s,
-        placement=config.repair_placement,
-    )
-    if durability_policy.is_null:
-        durability_policy = None
-    durability_armed = (
-        durability_policy is not None
-        or (fault_plan is not None and fault_plan.has_durability_faults))
+    # A null layer comes back as None and is never installed.  Each
+    # layer still gets its named stream: streams are seeded from their
+    # names, so one that is never drawn cannot move another's draws.
+    layers = config.layer_policies()
     grid = DataGrid.create(
         sim=sim,
         topology=topology,
@@ -188,26 +145,18 @@ def build_grid(
         site_processors=site_processors,
         storage_capacity_mb=config.storage_capacity_mb,
         datamover_rng=streams.stream("datamover"),
-        info_policy=InfoPolicy(
-            refresh_interval_s=config.info_refresh_interval_s,
-            catalog_delay_s=config.catalog_delay_s,
-            query_timeout_s=config.info_timeout_s,
-        ),
-        allocator=_make_allocator(config),
-        fault_plan=fault_plan,
-        fault_rng=(streams.stream("faults")
-                   if fault_plan is not None else None),
+        info_policy=layers.info,
+        allocator=_named(ALLOCATORS, "allocator", config.allocator)(),
+        fault_plan=layers.faults,
+        fault_rng=streams.stream("faults"),
         tracer=tracer,
         watchdog_interval_s=300.0 if config.watchdog else 0.0,
-        overload_policy=overload_policy,
-        overload_rng=(streams.stream("overload")
-                      if overload_policy is not None else None),
-        health_policy=health_policy,
-        health_rng=(streams.stream("health")
-                    if health_policy is not None else None),
-        durability_policy=durability_policy,
-        durability_rng=(streams.stream("durability")
-                        if durability_armed else None),
+        overload_policy=layers.overload,
+        overload_rng=streams.stream("overload"),
+        health_policy=layers.health,
+        health_rng=streams.stream("health"),
+        durability_policy=layers.durability,
+        durability_rng=streams.stream("durability"),
     )
     grid.place_initial_replicas(workload.initial_placement)
     if config.dag_shape != "none":

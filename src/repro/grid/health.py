@@ -18,7 +18,7 @@ frozen :class:`HealthPolicy`:
 
       CLOSED --suspicion / repeated failures--> OPEN
       OPEN --probe scheduled (backoff)--> HALF_OPEN
-      HALF_OPEN --probe ok x probe_successes--> CLOSED
+      HALF_OPEN --probe ok x PROBE_SUCCESSES--> CLOSED
       HALF_OPEN --probe failed--> OPEN
 
   An open *site* breaker hides the site from the information service
@@ -72,6 +72,15 @@ HALF_OPEN = "half-open"
 #: so clone ids can never collide with primaries.
 SPECULATIVE_ID_BASE = 1_000_000_000
 
+#: Inter-arrival samples the detector keeps per site for its mean.
+DETECTOR_WINDOW = 8
+#: Consecutive successful probes required to close a site breaker
+#: (hysteresis against flapping sites).
+PROBE_SUCCESSES = 2
+#: Consecutive transfer failures on one link before its breaker opens.
+#: Any transfer success on the link closes it again.
+LINK_FAILURE_THRESHOLD = 3
+
 
 @dataclass(frozen=True)
 class HealthPolicy:
@@ -88,19 +97,12 @@ class HealthPolicy:
         ``phi_threshold`` produce measurable false positives.
     phi_threshold:
         Suspicion trips when the silence since the last heartbeat
-        exceeds this multiple of the windowed mean inter-arrival time.
-    detector_window:
-        Inter-arrival samples kept per site for the mean.
+        exceeds this multiple of the windowed mean inter-arrival time
+        (:data:`DETECTOR_WINDOW` samples per site).
     probe_interval_s / probe_backoff_cap_s / probe_jitter:
         Half-open probe schedule: capped exponential backoff between
         probes (:class:`~repro.faults.backoff.BackoffPolicy`), with
         optional seeded jitter to break probe synchronization.
-    probe_successes:
-        Consecutive successful probes required to close a breaker
-        (hysteresis against flapping sites).
-    link_failure_threshold:
-        Consecutive transfer failures on one link before its breaker
-        opens.  Any transfer success on the link closes it again.
     observed_only:
         Cut the oracle channel: fault-injector outages no longer mark
         sites down in the information service — the detector is the only
@@ -119,12 +121,9 @@ class HealthPolicy:
     heartbeat_interval_s: float = 0.0
     heartbeat_jitter: float = 0.0
     phi_threshold: float = 3.0
-    detector_window: int = 8
     probe_interval_s: float = 30.0
     probe_backoff_cap_s: float = 240.0
     probe_jitter: float = 0.0
-    probe_successes: int = 2
-    link_failure_threshold: int = 3
     observed_only: bool = False
     speculate_quantile: float = 0.0
     speculate_multiplier: float = 2.0
@@ -144,10 +143,6 @@ class HealthPolicy:
             raise ValueError(
                 f"phi threshold must be > 1 (a beat is due every mean "
                 f"interval), got {self.phi_threshold!r}")
-        if self.detector_window < 1:
-            raise ValueError(
-                f"detector window must be >= 1, "
-                f"got {self.detector_window!r}")
         if self.probe_interval_s <= 0:
             raise ValueError(
                 f"probe interval must be > 0, got {self.probe_interval_s!r}")
@@ -158,14 +153,6 @@ class HealthPolicy:
         if not 0.0 <= self.probe_jitter < 1.0:
             raise ValueError(
                 f"probe jitter must be in [0, 1), got {self.probe_jitter!r}")
-        if self.probe_successes < 1:
-            raise ValueError(
-                f"probe successes must be >= 1, "
-                f"got {self.probe_successes!r}")
-        if self.link_failure_threshold < 1:
-            raise ValueError(
-                f"link failure threshold must be >= 1, "
-                f"got {self.link_failure_threshold!r}")
         if self.observed_only and self.heartbeat_interval_s == 0:
             raise ValueError(
                 "observed_only cuts the oracle channel, so it needs the "
@@ -300,7 +287,7 @@ class HealthMonitor:
         self._last_beat: Dict[str, float] = {
             name: 0.0 for name in sorted(grid.sites)}
         self._intervals: Dict[str, Deque[float]] = {
-            name: deque(maxlen=policy.detector_window)
+            name: deque(maxlen=DETECTOR_WINDOW)
             for name in sorted(grid.sites)}
         # Shared probe-jitter stream, drawn before the per-site heartbeat
         # sub-streams so the draw order is fixed.
@@ -465,7 +452,7 @@ class HealthMonitor:
             self._emit("health.probe", site=site, ok=ok, attempt=attempt)
             if ok:
                 breaker.probe_successes += 1
-                if breaker.probe_successes >= policy.probe_successes:
+                if breaker.probe_successes >= PROBE_SUCCESSES:
                     self._restore_site(site)
                     return
                 # Confirmation probes come at the base interval again.
@@ -515,7 +502,7 @@ class HealthMonitor:
             breaker = self.link_breakers[key] = CircuitBreaker()
         breaker.failures += 1
         if (breaker.state is CLOSED
-                and breaker.failures >= self.policy.link_failure_threshold):
+                and breaker.failures >= LINK_FAILURE_THRESHOLD):
             breaker.state = OPEN
             self.stats.breaker_trips += 1
             self._emit("health.trip", link=f"{key[0]}-{key[1]}",

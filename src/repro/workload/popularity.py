@@ -137,17 +137,20 @@ class UniformPopularity(PopularityModel):
         return [1.0 / self.n_items] * self.n_items
 
 
+#: Popularity model name → class (``geometric`` is the paper's).
+POPULARITY_MODELS = {
+    "geometric": GeometricPopularity,
+    "zipf": ZipfPopularity,
+    "uniform": UniformPopularity,
+}
+
+
 def make_popularity_model(name: str, n_items: int, **kwargs) -> PopularityModel:
-    """Factory by name: ``geometric`` (paper), ``zipf``, ``uniform``."""
-    models = {
-        "geometric": GeometricPopularity,
-        "zipf": ZipfPopularity,
-        "uniform": UniformPopularity,
-    }
+    """Factory by name: one of :data:`POPULARITY_MODELS`."""
     try:
-        cls = models[name]
+        cls = POPULARITY_MODELS[name]
     except KeyError:
         raise ValueError(
-            f"unknown popularity model {name!r}; known: {sorted(models)}"
-        ) from None
+            f"unknown popularity model {name!r}; "
+            f"known: {sorted(POPULARITY_MODELS)}") from None
     return cls(n_items, **kwargs)

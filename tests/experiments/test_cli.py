@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.experiments.parallel import ParallelRunner
 
 SMALL = ["--scale", "0.05"]
 
@@ -126,6 +127,25 @@ class TestSweepCommand:
     def test_duplicate_values_are_an_error(self, capsys):
         assert main(["sweep", "bandwidth_mbps", "10", "10", *SMALL]) == 2
         assert "duplicate" in capsys.readouterr().err
+
+    def test_bool_field_takes_on_off(self, monkeypatch, capsys):
+        # "off" must reach the grid as False: a sweep over a switch runs
+        # exactly one unarmed cell.
+        armed = []
+        original = ParallelRunner.map
+
+        def recording_map(self, specs):
+            specs = list(specs)
+            armed.extend(spec.config.watchdog for spec in specs)
+            return original(self, specs)
+
+        monkeypatch.setattr(ParallelRunner, "map", recording_map)
+        assert main(["sweep", "watchdog", "off", "on", *SMALL]) == 0
+        assert sorted(armed) == [False, True]
+
+    def test_bool_field_rejects_other_text(self, capsys):
+        assert main(["sweep", "watchdog", "false", "true", *SMALL]) == 2
+        assert "on or off" in capsys.readouterr().err
 
     def test_best_client_policy_accepted(self, capsys):
         assert main(["run", "--ds", "DataBestClient", *SMALL]) == 0

@@ -7,6 +7,7 @@ from repro.experiments.config import (
     SCENARIO_2_BANDWIDTH,
     SimulationConfig,
 )
+from repro.faults.plan import FaultPlan
 
 
 class TestTable1:
@@ -70,6 +71,45 @@ class TestValidation:
     def test_storage_below_largest_dataset_rejected(self):
         with pytest.raises(ValueError):
             SimulationConfig(storage_capacity_mb=1000.0)
+
+    @pytest.mark.parametrize("field", [
+        "watchdog", "storage_reservations", "health_observed_only",
+        "durability_repair", "bulk_submission"])
+    def test_switches_reject_non_bool(self, field):
+        # A string such as "false" is truthy and would arm the layer.
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{field: "false"})
+
+    def test_bad_layer_knob_fails_at_construction(self):
+        # Layer knobs are checked by their policies, but when the config
+        # is built, not when a grid is wired from it.
+        with pytest.raises(ValueError, match="phi threshold"):
+            SimulationConfig(health_phi_threshold=0.5)
+        with pytest.raises(ValueError, match="refresh interval"):
+            SimulationConfig(info_refresh_interval_s=-1.0)
+
+
+class TestLayerPolicies:
+    def test_default_layers_are_null(self):
+        layers = SimulationConfig.paper().layer_policies()
+        assert layers.info.refresh_interval_s == 300.0
+        assert layers[1:] == (None, None, None, None)
+
+    def test_armed_layers_carry_their_knobs(self):
+        layers = SimulationConfig.paper().with_(
+            fault_plan=FaultPlan(site_mtbf_s=3600.0), queue_capacity=4,
+            health_heartbeat_s=30.0, health_probe_interval_s=300.0,
+            replication_factor=2, durability_repair=True,
+        ).layer_policies()
+        assert layers.faults.site_mtbf_s == 3600.0
+        assert layers.overload.queue_capacity == 4
+        assert layers.health.heartbeat_interval_s == 30.0
+        assert layers.health.probe_backoff_cap_s == 300.0
+        assert layers.durability.replication_factor == 2
+
+    def test_null_fault_plan_is_dropped(self):
+        config = SimulationConfig.paper().with_(fault_plan=FaultPlan.none())
+        assert config.layer_policies().faults is None
 
 
 class TestScaling:

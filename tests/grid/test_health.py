@@ -18,6 +18,7 @@ from repro.grid.health import (
     CLOSED,
     HALF_OPEN,
     OPEN,
+    LINK_FAILURE_THRESHOLD,
     HealthMonitor,
     HealthPolicy,
 )
@@ -211,7 +212,7 @@ class TestLinkBreakers:
     def test_opens_after_threshold_consecutive_failures(self):
         sim, grid = make_grid(BEAT)
         monitor = grid.health
-        for _ in range(BEAT.link_failure_threshold - 1):
+        for _ in range(LINK_FAILURE_THRESHOLD - 1):
             monitor.record_transfer_failure("site00", "site01")
         assert not monitor.link_open("site00", "site01")
         monitor.record_transfer_failure("site01", "site00")  # either order
@@ -221,7 +222,7 @@ class TestLinkBreakers:
     def test_success_resets_and_closes(self):
         sim, grid = make_grid(BEAT)
         monitor = grid.health
-        for _ in range(BEAT.link_failure_threshold):
+        for _ in range(LINK_FAILURE_THRESHOLD):
             monitor.record_transfer_failure("site00", "site01")
         assert monitor.link_open("site00", "site01")
         monitor.record_transfer_success("site00", "site01")
@@ -249,7 +250,7 @@ class TestLinkBreakers:
         only replica — and the successful fetch closes the breaker."""
         sim, grid = make_grid(BEAT)
         monitor = grid.health
-        for _ in range(BEAT.link_failure_threshold):
+        for _ in range(LINK_FAILURE_THRESHOLD):
             monitor.record_transfer_failure("site00", "site03")
         assert monitor.link_open("site00", "site03")
         job = Job(job_id=1, user="u", origin_site="site03",
