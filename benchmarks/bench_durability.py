@@ -93,7 +93,7 @@ def _run_workload(policy):
 def test_run_baseline(benchmark):
     """Durability layer absent: the cost every default run pays."""
     grid = benchmark(_run_workload, None)
-    assert grid.durability is None
+    assert grid.layers.durability is None
     assert len(grid.completed_jobs) == N_JOBS
     _record("run_baseline", benchmark, work_items=N_JOBS)
 
@@ -105,7 +105,7 @@ def test_run_scrubber_armed(benchmark):
     bookkeeping — the steady-state tax integrity checking charges.
     """
     grid = benchmark(_run_workload, SCRUBBED)
-    durability = grid.durability
+    durability = grid.layers.durability
     assert durability is not None
     assert durability.stats.verifications > 0
     assert durability.stats.scrub_passes > 0
@@ -124,7 +124,7 @@ def test_repair_churn(benchmark):
 
     def run():
         sim, grid = _make_grid(RF2, seed_everywhere=False)
-        durability = grid.durability
+        durability = grid.layers.durability
 
         def driver():
             while grid.catalog.replica_count("d0") < 2:
@@ -150,7 +150,7 @@ def test_repair_churn(benchmark):
 def test_verification_path(benchmark):
     """The per-read checksum check in isolation, on a clean copy."""
     _, grid = _make_grid(SCRUBBED)
-    durability = grid.durability
+    durability = grid.layers.durability
 
     def run():
         for _ in range(N_VERIFICATIONS):

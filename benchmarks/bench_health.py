@@ -95,7 +95,7 @@ def _run_workload(policy):
 def test_run_baseline(benchmark):
     """Health layer absent: the cost every default run pays."""
     grid = benchmark(_run_workload, None)
-    assert grid.health is None
+    assert grid.layers.health is None
     assert len(grid.completed_jobs) == N_JOBS
     _record("run_baseline", benchmark, work_items=N_JOBS)
 
@@ -107,8 +107,8 @@ def test_run_detector_armed(benchmark):
     lookup is bookkeeping — the steady-state tax the detector charges.
     """
     grid = benchmark(_run_workload, DETECTOR)
-    assert grid.health is not None
-    assert grid.health.stats.suspicions == 0
+    assert grid.layers.health is not None
+    assert grid.layers.health.stats.suspicions == 0
     assert len(grid.completed_jobs) == N_JOBS
     _record("run_detector_armed", benchmark, work_items=N_JOBS)
 
@@ -117,7 +117,7 @@ def test_run_speculation_armed(benchmark):
     """Detector plus the straggler scanner; uniform runtimes mean the
     quantile threshold never trips, so the scan cost is isolated."""
     grid = benchmark(_run_workload, SPECULATIVE)
-    assert grid.health.stats.speculative_launched == 0
+    assert grid.layers.health.stats.speculative_launched == 0
     assert len(grid.completed_jobs) == N_JOBS
     _record("run_speculation_armed", benchmark, work_items=N_JOBS)
 
@@ -126,7 +126,7 @@ def test_breaker_feedback_churn(benchmark):
     """The per-transfer feedback path: failure/success pairs on one
     link, half of them tripping and re-closing the breaker."""
     sim, grid = _make_grid(DETECTOR)
-    health = grid.health
+    health = grid.layers.health
 
     def run():
         for _ in range(N_FEEDBACK_CYCLES // (LINK_FAILURE_THRESHOLD + 1)):

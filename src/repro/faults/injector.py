@@ -19,6 +19,10 @@ and all recovery accounting:
   per-site stochastic bit-rot, forwarded to the grid's durability layer
   (:mod:`repro.grid.durability`), which owns detection and repair.
 
+Recovery is the injector's too: every job runs under a re-dispatch
+supervisor, and every wire fetch under stall timeouts, retries and
+replica failover.
+
 Determinism: all randomness comes from one injected
 :class:`random.Random` (derived from the run's named streams), per-site
 loops get their own sub-streams drawn in sorted site order, and every
@@ -29,8 +33,9 @@ bitwise-identical across processes, worker counts, and cache replays.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, AbstractSet, Dict, List, Optional, Set
 
+from repro.faults.backoff import BackoffPolicy
 from repro.faults.plan import (
     FaultPlan,
     LinkDegradation,
@@ -38,12 +43,16 @@ from repro.faults.plan import (
     OutageGroup,
     SiteOutage,
 )
+from repro.grid.datamover import DataUnavailableError
+from repro.grid.job import JobState
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.grid.grid import DataGrid
+    from repro.grid.job import Job
     from repro.network.transfer import Transfer
     from repro.sim.core import Simulator
+    from repro.sim.process import Process
 
 
 class FaultInjector:
@@ -59,6 +68,9 @@ class FaultInjector:
     rng:
         Seeded stream for stochastic faults.
     """
+
+    NAME = "faults"
+    hooks = ("admit", "usable", "fetch", "source_choice")
 
     def __init__(self, sim: "Simulator", grid: "DataGrid", plan: FaultPlan,
                  rng: Optional[random.Random] = None) -> None:
@@ -98,17 +110,17 @@ class FaultInjector:
         #: Domain-event tracer, copied from the grid at :meth:`install`
         #: (None = tracing off; one attribute check per fault action).
         self.tracer = None
+        #: Lazily built shared-helper policy reproducing the plan's
+        #: capped exponential transfer backoff bit for bit.
+        self._transfer_backoff: Optional[BackoffPolicy] = None
 
     # -- installation -----------------------------------------------------------
 
     def install(self) -> None:
         """Wire the injector into the grid and spawn its driver processes."""
         grid = self.grid
-        grid.faults = self
-        grid.datamover.faults = self
+        grid.layers.add(self)
         self.tracer = grid.tracer
-        for site in grid.sites.values():
-            site.faults = self
         for outage in self.plan.site_outages:
             if outage.site not in grid.sites:
                 raise ValueError(
@@ -323,7 +335,7 @@ class FaultInjector:
         invalidate the catalog (the disks really are gone — that is
         physical state, not knowledge).
         """
-        health = self.grid.health
+        health = self.grid.layers.health
         return health is None or not health.policy.observed_only
 
     def _make_permanent(self, site: str) -> None:
@@ -448,14 +460,16 @@ class FaultInjector:
     def _scripted_corruption(self, event):
         if event.time_s > 0:
             yield self.sim.timeout(event.time_s)
-        if self.grid.durability is not None:
-            self.grid.durability.corrupt(event.site, event.dataset)
+        durability = self.grid.layers.durability
+        if durability is not None:
+            durability.corrupt(event.site, event.dataset)
 
     def _scripted_loss(self, event):
         if event.time_s > 0:
             yield self.sim.timeout(event.time_s)
-        if self.grid.durability is not None:
-            self.grid.durability.lose_replica(event.site, event.dataset)
+        durability = self.grid.layers.durability
+        if durability is not None:
+            durability.lose_replica(event.site, event.dataset)
 
     def _bitrot_loop(self, site: str, rng: random.Random):
         """Stochastic silent corruption of resident replicas at one site.
@@ -473,13 +487,244 @@ class FaultInjector:
             if self.sim.now + wait >= plan.corruption_end_s:
                 return
             yield self.sim.timeout(wait)
-            durability = self.grid.durability
+            durability = self.grid.layers.durability
             if durability is None:  # pragma: no cover - defensive
                 return
             files = sorted(self.grid.storages[site].files)
             if not files:
                 continue
             durability.corrupt(site, rng.choice(files))
+
+    # -- hook points ----------------------------------------------------------------
+
+    def usable(self, site: str, oracle: bool) -> bool:
+        """Work may go to a site the oracle (when consulted) says is up."""
+        return not oracle or self.is_up(site)
+
+    def source_choice(self, locations: List[str], dest: str,
+                      avoid: AbstractSet[str]) -> List[str]:
+        """Down sites cannot serve bytes.  Sources that already failed
+        this fetch (``avoid``) are deprioritized, not banned: if they
+        hold the only replica we retry them (they may have recovered)."""
+        locations = [s for s in locations if self.is_up(s)]
+        if avoid:
+            fresh = [s for s in locations if s not in avoid]
+            if fresh:
+                locations = fresh
+        return locations
+
+    def admit(self, job: "Job", site_hint: Optional[str]) -> "Process":
+        """Take a submitted job over: its recovery supervisor."""
+        return self.sim.process(self._supervise(job, site_hint),
+                                name=f"supervise:job{job.job_id}")
+
+    def _supervise(self, job: "Job", site_hint: Optional[str]):
+        """Dispatch loop under fault injection.
+
+        Each iteration: wait until some site is up, place the job (with a
+        deterministic fallback if the ES's choice is down), and wait for
+        the execution attempt.  A killed attempt comes back with the job
+        in RETRYING; the job is rewound and re-dispatched after the
+        plan's redispatch delay, until it completes or exhausts its retry
+        budget and is accounted FAILED.  A ``site_hint`` (bulk
+        submission) is honoured for the first attempt only, and only
+        while the hinted site is up.
+        """
+        grid = self.grid
+        plan = self.plan
+        health = grid.layers.health
+        durability = grid.layers.durability
+        redispatch = (BackoffPolicy(plan.redispatch_delay_s,
+                                    plan.redispatch_delay_s)
+                      if plan.redispatch_delay_s > 0 else None)
+        while True:
+            if job.state is JobState.SPECULATED:
+                # The race was settled while this attempt sat in retry
+                # backoff or parked: the backup clone carried the
+                # logical job, and the health layer conceded this one.
+                return job
+            if durability is not None:
+                lost = [name for name in job.input_files
+                        if durability.is_lost(name)]
+                if lost:
+                    # An input's every replica is gone.  Retrying cannot
+                    # bring the bytes back, so the job takes its terminal
+                    # edge instead of burning the retry budget.
+                    grid.lifecycle.abandon_data_lost(
+                        job, lost[0],
+                        f"input dataset {lost[0]!r} unrecoverably lost")
+                    durability.stats.jobs_abandoned += 1
+                    return job
+            if not self.any_site_up():
+                if self.grid_lost:
+                    # Every site is permanently dead: recovery can never
+                    # happen, so fail fast instead of waiting forever.
+                    grid.lifecycle.fail(job, "all sites permanently failed")
+                    self.jobs_failed += 1
+                    return job
+                yield self.recovery_event()
+                continue
+            if (site_hint is not None and site_hint in grid.sites
+                    and self.is_up(site_hint)):
+                site_name = site_hint
+            else:
+                try:
+                    site_name = grid._select_site(job)
+                except ValueError:
+                    if health is None:
+                        raise
+                    # Every site is hidden from the schedulers (detector
+                    # suspicion, possibly wrongly).  Park until a probe
+                    # re-admits one or the oracle channel recovers.
+                    yield self.recovery_event()
+                    continue
+            site_hint = None
+            # Hand-off check.  In oracle mode an unreachable choice is
+            # redirected at most once (the fallback consults the already
+            # filtered information service); in observed mode the bounce
+            # itself is the observation — it trips the site's breaker —
+            # and a job that runs out of distinct fallbacks parks until
+            # something is re-admitted.
+            tried = set()
+            while not self.is_reachable(site_name):
+                if health is not None and health.policy.observed_only:
+                    health.record_dispatch_failure(site_name)
+                tried.add(site_name)
+                fallback = self.fallback_site()
+                if fallback is None or fallback in tried:
+                    site_name = None
+                    break
+                grid.lifecycle.redirect(job, chosen=site_name,
+                                        fallback=fallback)
+                site_name = fallback
+                self.jobs_redirected += 1
+            if site_name is None:
+                if self.any_site_up():
+                    yield self.recovery_event()
+                continue  # wait for recovery / re-admission
+            site_name = grid._hand_off(job, site_name)
+            if site_name is None:
+                return job
+            grid.lifecycle.dispatch(job, site_name, attempt=job.retries + 1)
+            yield grid.sites[site_name].enqueue(job)
+            if job.state in (JobState.DONE, JobState.EXPIRED,
+                             JobState.SPECULATED):
+                # Expiry, like completion, is terminal: the deadline
+                # already accounted the job — retrying would double it.
+                # SPECULATED means this attempt lost a speculation race:
+                # the logical job completed through its backup clone.
+                return job
+            if job.retries >= plan.job_max_retries:
+                if health is not None and health.retire_dead_attempt(job):
+                    # Out of budget, but a speculation partner is live
+                    # (or already DONE): the partner's outcome is the
+                    # logical job's outcome, so this attempt concedes
+                    # instead of booking a failure.
+                    return job
+                grid.lifecycle.fail(
+                    job, job.failure_reason or "retries exhausted")
+                self.jobs_failed += 1
+                return job
+            grid.lifecycle.retry(job)
+            self.jobs_retried += 1
+            if redispatch is not None:
+                # Routed through the shared backoff helper; with base ==
+                # cap this is the plan's constant delay, bit for bit.
+                yield self.sim.timeout(redispatch.delay(job.retries))
+
+    def fetch(self, site: str, dataset, dataset_name: str, purpose: str,
+              preferred_source: Optional[str], best_effort: bool):
+        """Run one wire fetch under fault injection.
+
+        Retries failed/stalled transfers with capped exponential backoff,
+        failing over to alternate replica sources, up to the plan's
+        ``transfer_max_retries``.  Returns ``True`` once the bytes arrive;
+        ``False`` if a best-effort fetch gave up; raises
+        :class:`DataUnavailableError` when a required fetch exhausts its
+        budget (the job-level recovery then retries the whole job).
+        """
+        plan = self.plan
+        mover = self.grid.datamover
+        transfers = mover.transfers
+        durability = self.grid.layers.durability
+        avoid: set = set()
+        attempt = 0
+        while True:
+            attempt += 1
+            if not self.is_up(site):
+                # The destination died while we were waiting/retrying:
+                # pushing bytes at a dead site is pointless.  The waiting
+                # job (if any) is being killed by the same outage.
+                if best_effort:
+                    return False
+                raise DataUnavailableError(
+                    f"destination {site!r} is down")
+            try:
+                source = mover._pick_source(site, dataset_name,
+                                            preferred_source,
+                                            avoid=frozenset(avoid))
+            except DataUnavailableError:
+                if best_effort:
+                    return False
+                raise
+            # The checksum verdict judges the bytes as they were *read*:
+            # snapshot the source's integrity when the wire transfer
+            # starts, not when it lands (a scrub or fresh landing at the
+            # source mid-flight must not launder — or retroactively
+            # taint — the payload).
+            tainted = mover._transfer_start(source, dataset_name)
+            transfer = transfers.start(
+                source, site, dataset.size_mb, purpose=purpose,
+                metadata={"dataset": dataset_name})
+            if transfer.finished_at is not None and not transfer.failed:
+                # local / empty move completed instantly
+                if mover._delivered(source, site, dataset_name, tainted):
+                    return True
+            else:
+                # Guard against stalls (dead links, source dying
+                # silently): abort if the transfer exceeds a generous
+                # multiple of its nominal uncontended time.  The
+                # allowance doubles per attempt so contention alone
+                # cannot starve a fetch forever.
+                allowance = max(
+                    plan.transfer_timeout_min_s,
+                    plan.transfer_timeout_factor
+                    * transfers.base_transfer_time(source, site,
+                                                   dataset.size_mb))
+                allowance *= 2 ** (attempt - 1)
+                deadline = self.sim.timeout(allowance)
+                yield self.sim.any_of([transfer.done, deadline])
+                if transfer.finished_at is None:
+                    transfers.abort(transfer, reason="stalled")
+                if (not transfer.failed
+                        and mover._delivered(source, site, dataset_name,
+                                             tainted)):
+                    return True
+            mover.transfers_failed += 1
+            avoid.add(source)
+            # The rejected delivery may have come from the last replica:
+            # no amount of failover can produce clean bytes then.
+            lost = durability is not None and durability.is_lost(dataset_name)
+            retry = attempt <= plan.transfer_max_retries and not lost
+            if mover.tracer is not None:
+                mover.tracer.emit(
+                    self.sim.now, "transfer.retry", dataset=dataset_name,
+                    site=site, source=source, attempt=attempt, retry=retry)
+            if not retry:
+                if best_effort:
+                    return False
+                raise DataUnavailableError(
+                    f"dataset {dataset_name!r} is unrecoverably lost" if lost
+                    else f"fetch of {dataset_name!r} to {site!r} failed "
+                    f"{attempt} times; giving up")
+            mover.failovers += 1
+            if self._transfer_backoff is None:
+                self._transfer_backoff = BackoffPolicy(
+                    plan.transfer_backoff_base_s,
+                    plan.transfer_backoff_cap_s)
+            backoff = self._transfer_backoff.delay(attempt)
+            if backoff > 0:
+                yield self.sim.timeout(backoff)
 
     # -- transfer sabotage ----------------------------------------------------------
 

@@ -12,7 +12,8 @@ funnels through :meth:`DataMover.ensure_local`:
 
 Concurrent requests for the same (site, dataset) pair share one wire
 transfer — without this, a popular dataset would be fetched once per queued
-job and the traffic numbers would be meaningless.
+job and the traffic numbers would be meaningless.  Optional layers act on
+a fetch through the hook points of :mod:`repro.grid.layers`.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, AbstractSet, Dict, FrozenSet, Optional, Tuple
 
-from repro.faults.backoff import BackoffPolicy
 from repro.grid.catalog import ReplicaCatalog
 from repro.grid.files import DatasetCollection
+from repro.grid.layers import Layers
 from repro.grid.storage import StorageElement, StorageFullError
 from repro.network.transfer import TransferManager
 from repro.sim.core import Simulator
@@ -42,7 +43,7 @@ class DataUnavailableError(Exception):
 class RemoteReadMB(float):
     """MB moved by a degraded *remote read*.
 
-    Overload mode: when a pinned fetch cannot reserve storage for
+    When a pinned fetch cannot reserve storage for the element's
     ``remote_read_after`` retry rounds, the bytes are streamed to the job
     without being stored.  The traffic is real (it is a plain float for
     every accounting purpose) but the file was never added or pinned, so
@@ -84,39 +85,20 @@ class DataMover:
         #: Metrics: replications completed / skipped.
         self.replications_done = 0
         self.replications_skipped = 0
-        #: Fault injector, installed by the grid when a plan is active.
-        #: ``None`` keeps every fetch on the exact fault-free code path.
-        self.faults = None
         #: Domain-event tracer (None = tracing off; one attribute check).
         self.tracer = None
         #: Metrics (fault mode only): transfer attempts that failed or
         #: stalled, and retries that switched to an alternate replica.
         self.transfers_failed = 0
         self.failovers = 0
-        #: Overload policy + shared saturation counters, installed by the
-        #: grid when an :class:`~repro.grid.overload.OverloadPolicy` is
-        #: active.  ``None`` keeps every fetch on the exact pre-overload
-        #: code path (no reservations, no remote reads).
-        self.overload = None
-        self.overload_stats = None
         #: Replication pushes skipped because the target raised
         #: :class:`StorageFullError` mid-push (satellite metric).
         self.replications_skipped_full = 0
-        #: Observed-health monitor (``None`` = off).  When installed,
-        #: successful fetches feed the link breakers (failures arrive
-        #: through the transfer manager's abort hook, never from here —
-        #: one channel, no double counting), open site breakers veto
-        #: replication targets, and open link breakers deprioritize
-        #: sources.
-        self.health = None
-        #: Durability manager (``None`` = off).  When installed, local
-        #: hits and wire deliveries are checksum-verified: a corrupt
-        #: local copy falls through to a fresh remote fetch, a corrupt
-        #: delivery quarantines its source and fails over.
-        self.durability = None
-        #: Lazily built shared-helper policy reproducing the plan's
-        #: capped exponential transfer backoff bit for bit.
-        self._transfer_backoff = None
+        #: Pinned fetches degraded to streaming reads (nothing stored).
+        self.remote_reads = 0
+        #: The armed optional layers and their hook points (a grid shares
+        #: its own; a standalone mover has none).
+        self.layers = Layers()
 
     # -- public API ----------------------------------------------------------
 
@@ -170,13 +152,12 @@ class DataMover:
             self._trace_replicate_skip(dataset_name, to_site,
                                        "already-present-or-inflight")
             return 0.0
-        if (self.health is not None
-                and not self.health.allow_replication(to_site)):
-            # The Dataset Scheduler must not push replicas at a site the
-            # breaker currently quarantines.
-            self.replications_skipped += 1
-            self._trace_replicate_skip(dataset_name, to_site, "breaker-open")
-            return 0.0
+        for layer in self.layers.replication_veto:
+            reason = layer.replication_veto(to_site)
+            if reason is not None:
+                self.replications_skipped += 1
+                self._trace_replicate_skip(dataset_name, to_site, reason)
+                return 0.0
         if not storage.can_fit(dataset.size_mb):
             self.replications_skipped += 1
             self._trace_replicate_skip(dataset_name, to_site, "no-space")
@@ -223,15 +204,16 @@ class DataMover:
                 preferred_source: Optional[str], best_effort: bool = False):
         dataset = self.datasets.get(dataset_name)
         storage = self.storages[site]
-        reservations = (self.overload is not None
-                        and self.overload.storage_reservations)
-        remote_read_after = (self.overload.remote_read_after
-                             if reservations else 0)
         retries = 0
         while True:
             if dataset_name in storage:
-                if (self.durability is None
-                        or self.durability.verify_local(site, dataset_name)):
+                try:
+                    readable = self._local_access(site, dataset_name)
+                except DataUnavailableError:
+                    if best_effort:
+                        return 0.0
+                    raise
+                if readable:
                     storage.touch(dataset_name, self.sim.now)
                     if pin:
                         storage.pin(dataset_name)
@@ -240,15 +222,8 @@ class DataMover:
                                          dataset=dataset_name,
                                          purpose=purpose, pin=pin)
                     return 0.0
-                # Checksum mismatch: the copy was quarantined — fall
-                # through to a fresh remote fetch of clean bytes.
-                if self.durability.is_lost(dataset_name):
-                    # No clean replica exists anywhere; fetching cannot
-                    # succeed, so fail fast instead of starving.
-                    if best_effort:
-                        return 0.0
-                    raise DataUnavailableError(
-                        f"dataset {dataset_name!r} is unrecoverably lost")
+                # A layer rejected the copy (and removed it): fall
+                # through to a fresh remote fetch.
             key = (site, dataset_name)
             inflight = self._inflight.get(key)
             if inflight is not None:
@@ -260,23 +235,18 @@ class DataMover:
                                      dataset=dataset_name, purpose=purpose)
                 yield inflight
                 continue
-            # Under reservations, space is promised *before* the bytes
-            # fly: concurrent inbound transfers each hold their own
-            # promise, so they can never jointly overcommit the element
-            # (the latent can_fit race).  Otherwise pinned files block
-            # eviction.  Pins are bounded (one input set per processor +
-            # the primary copies), so waiting works unless the
-            # configuration is fundamentally too small.
-            if reservations:
-                fits = storage.reserve(dataset, self.sim.now)
-            else:
-                fits = storage.can_fit(dataset.size_mb)
-            if not fits:
+            # An element that reserves inbound space promises it *before*
+            # the bytes fly: concurrent inbound transfers each hold their
+            # own promise, so they can never jointly overcommit the
+            # element (the latent can_fit race).  Otherwise pinned files
+            # block eviction.  Pins are bounded (one input set per
+            # processor + the primary copies), so waiting works unless
+            # the configuration is fundamentally too small.
+            if not storage.claim(dataset, self.sim.now):
                 if best_effort:
                     return 0.0
                 retries += 1
-                if (pin and remote_read_after > 0
-                        and retries >= remote_read_after):
+                if pin and 0 < storage.remote_read_after <= retries:
                     # Storage is too pinned to promise space; degrade
                     # to streaming the bytes past the cache.
                     moved = yield from self._remote_read(
@@ -298,36 +268,27 @@ class DataMover:
                     preferred_source, best_effort)
                 if not delivered:
                     return 0.0
-                if reservations:
-                    # The reservation guarantees the landing fits — no
-                    # retry loop, no eviction, no StorageFullError.
-                    storage.commit_reservation(dataset, self.sim.now)
-                else:
-                    # Space may have been pinned away while the bytes were
-                    # in flight; retry the landing rather than dropping
-                    # the data.
-                    while True:
-                        try:
-                            storage.add(dataset, self.sim.now, pin=False)
-                            break
-                        except StorageFullError:
-                            if best_effort:
-                                return dataset.size_mb  # traffic was spent
-                            retries += 1
-                            if retries > self.MAX_RETRIES:
-                                raise
-                            yield self.sim.timeout(self.RETRY_INTERVAL_S)
+                # A reservation guarantees the landing fits.  Without one,
+                # space may have been pinned away while the bytes were in
+                # flight; retry the landing rather than dropping the data.
+                while True:
+                    try:
+                        storage.commit_reservation(dataset, self.sim.now)
+                        break
+                    except StorageFullError:
+                        if best_effort:
+                            return dataset.size_mb  # traffic was spent
+                        retries += 1
+                        if retries > self.MAX_RETRIES:
+                            raise
+                        yield self.sim.timeout(self.RETRY_INTERVAL_S)
                 self.catalog.register(dataset_name, site,
                                       size_mb=dataset.size_mb)
-                if self.durability is not None:
-                    # The verified delivery overwrote whatever was at the
-                    # site before; any corruption marker is now stale.
-                    self.durability.on_landed(site, dataset_name)
             finally:
-                if reservations:
-                    # No-op after commit; on abort/failover/kill paths it
-                    # returns the promised space to the element.
-                    storage.release_reservation(dataset_name)
+                # No-op after the landing or without a reservation; on
+                # abort/failover/kill paths it returns the promised space
+                # to the element.
+                storage.release_reservation(dataset_name)
                 self._inflight.pop(key, None)
                 if not arrival.triggered:
                     arrival.succeed()
@@ -345,7 +306,7 @@ class DataMover:
         """
         yield from self._wire_fetch(site, dataset, dataset_name, purpose,
                                     preferred_source, best_effort=False)
-        self.overload_stats.remote_reads += 1
+        self.remote_reads += 1
         if self.tracer is not None:
             self.tracer.emit(self.sim.now, "fetch.remote", site=site,
                              dataset=dataset_name, purpose=purpose,
@@ -357,139 +318,51 @@ class DataMover:
                     best_effort: bool):
         """Move one dataset's bytes over the network to ``site``.
 
-        Returns ``True`` once the bytes arrive.  Fault-free, that is one
-        transfer from the closest replica; under a fault plan it is
-        :meth:`_fetch_with_faults`, which may also return ``False`` (a
-        best-effort fetch gave up) or raise.
+        Returns ``True`` once the bytes arrive.  Without a ``fetch`` layer
+        that is one transfer from the closest replica; a ``fetch`` layer
+        (fault recovery) runs the transfer its own way and may also
+        return ``False`` (a best-effort fetch gave up) or raise.
         """
-        if self.faults is not None:
-            return (yield from self._fetch_with_faults(
-                site, dataset, dataset_name, purpose, preferred_source,
-                best_effort))
+        for layer in self.layers.fetch:
+            return (yield from layer.fetch(site, dataset, dataset_name,
+                                           purpose, preferred_source,
+                                           best_effort))
         source = self._pick_source(site, dataset_name, preferred_source)
         transfer = self.transfers.start(
             source, site, dataset.size_mb, purpose=purpose,
             metadata={"dataset": dataset_name})
         yield transfer.done
-        if self.health is not None:
-            self.health.record_transfer_success(source, site)
+        # Only the fault plan corrupts replicas, so there is no source
+        # taint to check the bytes against here.
+        return self._delivered(source, site, dataset_name, tainted=False)
+
+    def _local_access(self, site: str, dataset_name: str) -> bool:
+        """Whether a resident copy may be read (every ``local_access``
+        layer agrees); a layer raises :class:`DataUnavailableError` when
+        no readable copy exists anywhere."""
+        for layer in self.layers.local_access:
+            if not layer.local_access(site, dataset_name):
+                return False
         return True
 
-    def _fetch_with_faults(self, site: str, dataset, dataset_name: str,
-                           purpose: str, preferred_source: Optional[str],
-                           best_effort: bool):
-        """Run one wire fetch under fault injection.
+    def _transfer_start(self, source: str, dataset_name: str) -> bool:
+        """Snapshot, as a wire transfer starts, whether its source's
+        bytes are tainted (a ``transfer_start`` layer says so)."""
+        return any(layer.transfer_start(source, dataset_name)
+                   for layer in self.layers.transfer_start)
 
-        Retries failed/stalled transfers with capped exponential backoff,
-        failing over to alternate replica sources, up to the plan's
-        ``transfer_max_retries``.  Returns ``True`` once the bytes arrive;
-        ``False`` if a best-effort fetch gave up; raises
-        :class:`DataUnavailableError` when a required fetch exhausts its
-        budget (the job-level recovery then retries the whole job).
+    def _delivered(self, source: str, site: str, dataset_name: str,
+                   tainted: bool) -> bool:
+        """Whether a completed wire transfer delivered usable bytes.
+
+        Each ``delivery`` layer judges in turn (``tainted`` is the
+        :meth:`_transfer_start` snapshot): a rejected delivery counts as
+        a failed attempt, so the caller fails over exactly like a
+        dropped transfer, and later layers never see it.
         """
-        plan = self.faults.plan
-        avoid: set = set()
-        attempt = 0
-        while True:
-            attempt += 1
-            if not self.faults.is_up(site):
-                # The destination died while we were waiting/retrying:
-                # pushing bytes at a dead site is pointless.  The waiting
-                # job (if any) is being killed by the same outage.
-                if best_effort:
-                    return False
-                raise DataUnavailableError(
-                    f"destination {site!r} is down")
-            try:
-                source = self._pick_source(site, dataset_name,
-                                           preferred_source,
-                                           avoid=frozenset(avoid))
-            except DataUnavailableError:
-                if best_effort:
-                    return False
-                raise
-            # The checksum verdict judges the bytes as they were *read*:
-            # snapshot the source's integrity when the wire transfer
-            # starts, not when it lands (a scrub or fresh landing at the
-            # source mid-flight must not launder — or retroactively
-            # taint — the payload).
-            tainted = (self.durability is not None
-                       and self.durability.source_taint(source, dataset_name))
-            transfer = self.transfers.start(
-                source, site, dataset.size_mb, purpose=purpose,
-                metadata={"dataset": dataset_name})
-            if transfer.finished_at is not None and not transfer.failed:
-                # local / empty move completed instantly
-                if self._delivery_ok(source, site, dataset_name, tainted):
-                    return True
-            else:
-                # Guard against stalls (dead links, source dying
-                # silently): abort if the transfer exceeds a generous
-                # multiple of its nominal uncontended time.  The
-                # allowance doubles per attempt so contention alone
-                # cannot starve a fetch forever.
-                allowance = max(
-                    plan.transfer_timeout_min_s,
-                    plan.transfer_timeout_factor
-                    * self.transfers.base_transfer_time(source, site,
-                                                        dataset.size_mb))
-                allowance *= 2 ** (attempt - 1)
-                deadline = self.sim.timeout(allowance)
-                yield self.sim.any_of([transfer.done, deadline])
-                if transfer.finished_at is None:
-                    self.transfers.abort(transfer, reason="stalled")
-                if (not transfer.failed
-                        and self._delivery_ok(source, site, dataset_name,
-                                              tainted)):
-                    return True
-            self.transfers_failed += 1
-            avoid.add(source)
-            if (self.durability is not None
-                    and self.durability.is_lost(dataset_name)):
-                # The rejected delivery came from the last replica; no
-                # amount of failover can produce clean bytes now.
-                if best_effort:
-                    return False
-                raise DataUnavailableError(
-                    f"dataset {dataset_name!r} is unrecoverably lost")
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self.sim.now, "transfer.retry", dataset=dataset_name,
-                    site=site, source=source, attempt=attempt,
-                    retry=attempt <= plan.transfer_max_retries)
-            if attempt > plan.transfer_max_retries:
-                if best_effort:
-                    return False
-                raise DataUnavailableError(
-                    f"fetch of {dataset_name!r} to {site!r} failed "
-                    f"{attempt} times; giving up")
-            self.failovers += 1
-            if self._transfer_backoff is None:
-                self._transfer_backoff = BackoffPolicy(
-                    plan.transfer_backoff_base_s,
-                    plan.transfer_backoff_cap_s)
-            backoff = self._transfer_backoff.delay(attempt)
-            if backoff > 0:
-                yield self.sim.timeout(backoff)
-
-    def _delivery_ok(self, source: str, site: str, dataset_name: str,
-                     tainted: bool) -> bool:
-        """Post-delivery bookkeeping for one completed wire transfer.
-
-        Verifies the end-to-end checksum when durability is armed
-        (``tainted`` is the source-integrity snapshot taken at launch):
-        a clean delivery feeds the health layer's success channel; a
-        corrupt one quarantines its source (done inside
-        ``verify_transfer``) and counts as a failed attempt, so the
-        caller fails over exactly like a dropped transfer.
-        """
-        if (self.durability is not None
-                and not self.durability.verify_transfer(source, site,
-                                                        dataset_name,
-                                                        tainted)):
-            return False
-        if self.health is not None:
-            self.health.record_transfer_success(source, site)
+        for layer in self.layers.delivery:
+            if not layer.delivery(source, site, dataset_name, tainted):
+                return False
         return True
 
     def _pick_source(self, dest: str, dataset_name: str,
@@ -497,23 +370,8 @@ class DataMover:
                      avoid: AbstractSet[str] = _EMPTY) -> str:
         locations = self.catalog.locations(dataset_name)
         locations = [s for s in locations if s != dest]
-        if self.faults is not None:
-            # Down sites cannot serve bytes.  Sources that already failed
-            # this fetch (``avoid``) are deprioritized, not banned: if they
-            # hold the only replica we retry them (they may have recovered).
-            locations = [s for s in locations if self.faults.is_up(s)]
-            if avoid:
-                fresh = [s for s in locations if s not in avoid]
-                if fresh:
-                    locations = fresh
-        if self.health is not None:
-            # Open link breakers deprioritize, never ban: a source behind
-            # a flaky link is still used when it holds the only replica,
-            # and each success there closes the breaker again.
-            clear = [s for s in locations
-                     if not self.health.link_open(s, dest)]
-            if clear:
-                locations = clear
+        for layer in self.layers.source_choice:
+            locations = layer.source_choice(locations, dest, avoid)
         if preferred is not None and preferred in locations:
             return preferred
         if not locations:

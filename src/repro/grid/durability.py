@@ -61,6 +61,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.faults.backoff import BackoffPolicy
+from repro.grid.datamover import DataUnavailableError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.grid.grid import DataGrid
@@ -414,8 +415,14 @@ class DurabilityManager:
     :meth:`~repro.grid.grid.DataGrid.create` when a non-null
     :class:`DurabilityPolicy` is given *or* the fault plan contains
     durability faults (detection must work even with repair off, so
-    the acceptance baseline can record what it lost).
+    the acceptance baseline can record what it lost).  Every local hit
+    and wire delivery is checksummed: a corrupt local copy falls through
+    to a fresh remote fetch, a corrupt delivery quarantines its source
+    and fails over.
     """
+
+    NAME = "durability"
+    hooks = ("local_access", "transfer_start", "delivery")
 
     def __init__(self, sim: "Simulator", grid: "DataGrid",
                  policy: DurabilityPolicy,
@@ -443,8 +450,7 @@ class DurabilityManager:
     def install(self) -> None:
         """Wire the manager into the grid and spawn its processes."""
         grid = self.grid
-        grid.durability = self
-        grid.datamover.durability = self
+        grid.layers.add(self)
         self.tracer = grid.tracer
         grid.catalog.add_listener(self)
         for storage in grid.storages.values():
@@ -491,8 +497,8 @@ class DurabilityManager:
         hold the dataset and can fit it.
         """
         grid = self.grid
-        faults = grid.faults
-        health = grid.health
+        faults = grid.layers.faults
+        health = grid.layers.health
         holders = grid.catalog.location_set(dataset_name)
         sources = [s for s in grid.catalog.locations(dataset_name)
                    if faults is None or faults.is_up(s)]
@@ -568,6 +574,8 @@ class DurabilityManager:
         """
         return (site, dataset_name) in self._corrupt
 
+    transfer_start = source_taint
+
     def verify_transfer(self, source: str, dest: str, dataset_name: str,
                         tainted: bool) -> bool:
         """Checksum bytes that just arrived at ``dest`` from ``source``.
@@ -582,6 +590,31 @@ class DurabilityManager:
             return True
         self._quarantine(source, dataset_name, via="transfer")
         return False
+
+    # -- hook points ----------------------------------------------------------
+
+    def local_access(self, site: str, dataset_name: str) -> bool:
+        """Checksum a local hit; False = quarantined, fetch it afresh.
+
+        Raises :class:`~repro.grid.datamover.DataUnavailableError` when
+        that was the last replica: fetching cannot succeed, so the fetch
+        fails fast instead of starving.
+        """
+        if self.verify_local(site, dataset_name):
+            return True
+        if self.is_lost(dataset_name):
+            raise DataUnavailableError(
+                f"dataset {dataset_name!r} is unrecoverably lost")
+        return False
+
+    def delivery(self, source: str, site: str, dataset_name: str,
+                 tainted: bool) -> bool:
+        """Checksum delivered bytes; a clean delivery overwrites whatever
+        was at ``site`` before (see :meth:`on_landed`)."""
+        if not self.verify_transfer(source, site, dataset_name, tainted):
+            return False
+        self.on_landed(site, dataset_name)
+        return True
 
     def on_landed(self, site: str, dataset_name: str) -> None:
         """A verified delivery landed at ``site``: fresh bytes replaced

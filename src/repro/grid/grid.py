@@ -3,7 +3,8 @@
 A :class:`DataGrid` owns every mechanism component (network, catalog,
 storage, sites, data mover, information service) plus the chosen policies
 (one External Scheduler, one Local Scheduler per site — all identical in
-the paper — and one Dataset Scheduler attached per site).
+the paper — and one Dataset Scheduler attached per site).  Optional
+layers plug in through the hook points of :mod:`repro.grid.layers`.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.faults.backoff import BackoffPolicy
 from repro.grid.catalog import ReplicaCatalog
 from repro.grid.compute import ComputeElement
 from repro.grid.datamover import DataMover
 from repro.grid.files import DatasetCollection
 from repro.grid.info import InformationService
 from repro.grid.job import Job, JobState
+from repro.grid.layers import Layers, build as build_layers
 from repro.grid.lifecycle import TransitionEngine
 from repro.grid.site import Site
 from repro.grid.storage import StorageElement
@@ -78,12 +79,11 @@ class DataGrid:
         self.lifecycle = TransitionEngine(sim)
         for site in sites.values():
             site.lifecycle = self.lifecycle
-        #: Fault injector (``None`` in fault-free runs; installed by
-        #: :meth:`create` when a non-null plan is given).  Every fault
-        #: branch in the hot path is gated on this staying ``None`` so a
-        #: plan-less grid behaves bitwise-identically to one built before
-        #: the fault layer existed.
-        self.faults = None
+        #: The armed optional layers and the hook points they fill
+        #: (shared with the data mover; empty until :meth:`create`
+        #: installs a layer).
+        self.layers = Layers()
+        datamover.layers = self.layers
         #: Domain-event tracer (``None`` = tracing off, the default).
         #: Installed by :meth:`create`; every emission in the grid is gated
         #: on this staying ``None`` so an untraced run pays one attribute
@@ -92,28 +92,6 @@ class DataGrid:
         #: Runtime invariant watchdog (``None`` = off, the default;
         #: installed by :meth:`create` when ``watchdog_interval_s`` > 0).
         self.watchdog = None
-        #: Overload policy + shared saturation counters (``None`` = off,
-        #: the default; installed by :meth:`create` for a non-null
-        #: :class:`~repro.grid.overload.OverloadPolicy`).  Every overload
-        #: branch is gated on this staying ``None`` so a policy-less grid
-        #: behaves bitwise-identically to a pre-overload build.
-        self.overload = None
-        self.overload_stats = None
-        #: Observed-health layer (``None`` = off, the default; installed
-        #: by :meth:`create` for a non-null
-        #: :class:`~repro.grid.health.HealthPolicy`).  Every health branch
-        #: is gated on this staying ``None`` so a policy-less grid behaves
-        #: bitwise-identically to a pre-health build.
-        self.health = None
-        #: Data-durability layer (``None`` = off, the default; installed
-        #: by :meth:`create` for a non-null
-        #: :class:`~repro.grid.durability.DurabilityPolicy` or a fault
-        #: plan with durability faults).  Every durability branch is
-        #: gated on this staying ``None`` so an unarmed grid behaves
-        #: bitwise-identically to a pre-durability build.
-        self.durability = None
-        #: Last-resort External Scheduler (degraded mode), or ``None``.
-        self._degraded_es = None
         #: Open-loop arrival stream (``None`` = the paper's closed-loop
         #: users).  When set, :meth:`run` drives this instead of users.
         self.arrivals = None
@@ -155,26 +133,11 @@ class DataGrid:
         (paper: 2–5 per site).  Every site gets ``storage_capacity_mb`` of
         LRU-managed storage.  ``info_policy`` (an
         :class:`~repro.grid.staleness.InfoPolicy`) takes precedence over
-        the ``info_refresh_interval_s`` shorthand; a policy with a
-        positive catalog delay routes scheduler replica queries through a
-        stale view.  ``watchdog_interval_s`` > 0 installs the runtime
-        invariant watchdog (:mod:`repro.watchdog`) at that check period.
-        A non-null ``overload_policy``
-        (:class:`~repro.grid.overload.OverloadPolicy`) arms the saturation
-        protections — bounded queues, storage reservations, deadlines,
-        degraded-mode placement; ``overload_rng`` seeds its (optional)
-        degraded External Scheduler.  A non-null ``health_policy``
-        (:class:`~repro.grid.health.HealthPolicy`) installs the observed
-        failure-detection layer — heartbeats, circuit breakers, and
-        speculative backup execution; ``health_rng`` seeds its heartbeat
-        jitter and probe streams.  A non-null ``durability_policy``
-        (:class:`~repro.grid.durability.DurabilityPolicy`) installs the
-        data-durability layer — checksum verification, scrubbing, and
-        replication-factor repair; the layer is also auto-installed in
-        detection-only mode when the fault plan contains durability
-        faults (corruption or replica loss), so every armed run can at
-        least record what it lost.  ``durability_rng`` seeds repair
-        placement tie-breaking.
+        the ``info_refresh_interval_s`` shorthand.  Each non-null policy
+        (``fault_plan``, ``overload_policy``, ``health_policy``,
+        ``durability_policy``) arms its optional layer, seeded by the
+        matching ``*_rng`` stream, and ``watchdog_interval_s`` > 0 the
+        runtime invariant watchdog (see :func:`repro.grid.layers.build`).
         """
         topology.validate()
         missing = set(topology.sites) - set(site_processors)
@@ -212,57 +175,16 @@ class DataGrid:
             catalog.set_tracer(tracer, sim)
             for site in sites.values():
                 site.tracer = tracer
-            if info.replica_view is not None:
-                info.replica_view.tracer = tracer
         for site in sites.values():
             dataset_scheduler.attach(site, grid)
-        if fault_plan is not None and not fault_plan.is_null:
-            from repro.faults.injector import FaultInjector
-
-            FaultInjector(sim, grid, fault_plan, rng=fault_rng).install()
-        if overload_policy is not None and not overload_policy.is_null:
-            from repro.grid.overload import SaturationStats
-            from repro.scheduling.registry import make_external_scheduler
-
-            stats = SaturationStats()
-            grid.overload = overload_policy
-            grid.overload_stats = stats
-            if overload_policy.degraded_es:
-                grid._degraded_es = make_external_scheduler(
-                    overload_policy.degraded_es,
-                    overload_rng or random.Random(0))
-            datamover.overload = overload_policy
-            datamover.overload_stats = stats
-            for site in sites.values():
-                site.overload = overload_policy
-                site.overload_stats = stats
-            # With a queue deadline armed, the engine's start edge
-            # enforces no-starvation as a transition guard.
-            grid.lifecycle.deadline_of = (
-                lambda job: (job.deadline_s if job.deadline_s is not None
-                             else overload_policy.job_deadline_s))
-        if health_policy is not None and not health_policy.is_null:
-            from repro.grid.health import HealthMonitor
-
-            HealthMonitor(sim, grid, health_policy,
-                          rng=health_rng).install()
-        durability_armed = (
-            (durability_policy is not None and not durability_policy.is_null)
-            or (fault_plan is not None and not fault_plan.is_null
-                and fault_plan.has_durability_faults))
-        if durability_armed:
-            from repro.grid.durability import (
-                DurabilityManager,
-                DurabilityPolicy,
-            )
-
-            DurabilityManager(sim, grid,
-                              durability_policy or DurabilityPolicy(),
-                              rng=durability_rng).install()
-        if watchdog_interval_s > 0:
-            from repro.watchdog import Watchdog
-
-            Watchdog(sim, grid, interval_s=watchdog_interval_s).install()
+        for layer in build_layers(
+                sim, grid, fault_plan=fault_plan, fault_rng=fault_rng,
+                overload_policy=overload_policy, overload_rng=overload_rng,
+                health_policy=health_policy, health_rng=health_rng,
+                durability_policy=durability_policy,
+                durability_rng=durability_rng,
+                watchdog_interval_s=watchdog_interval_s):
+            layer.install()
         return grid
 
     # -- data placement ----------------------------------------------------------
@@ -277,10 +199,8 @@ class DataGrid:
         dataset = self.datasets.get(dataset_name)
         self.storages[site].add(dataset, self.sim.now, pin=True)
         self.catalog.register(dataset_name, site, size_mb=dataset.size_mb)
-        if self.info.replica_view is not None:
-            # Pre-run placement is configuration, not runtime churn: the
-            # schedulers know the initial distribution from the start.
-            self.info.replica_view.sync_all()
+        for layer in self.layers.placement:
+            layer.placement()
 
     def place_initial_replicas(self, mapping: Dict[str, str],
                                headroom_mb: Optional[float] = None) -> None:
@@ -318,9 +238,9 @@ class DataGrid:
         """Submit a job: ES picks the site, the site executes it.
 
         Returns the execution process (triggers with the job when done).
-        Under a fault plan the returned process is a recovery supervisor
-        that re-dispatches the job when an outage kills it, so callers
-        (users) still simply wait for one process per job.
+        An ``admit`` layer (fault recovery) returns a supervisor process
+        instead, which re-dispatches the job when an outage kills it, so
+        callers (users) still simply wait for one process per job.
 
         ``site_hint`` (bulk submission) bypasses the ES for the initial
         placement — the job still passes misdirection and saturation
@@ -328,10 +248,9 @@ class DataGrid:
         """
         self.lifecycle.submit(job)
         self.submitted_jobs.append(job)
-        if self.faults is not None:
-            return self.sim.process(
-                self._submit_with_recovery(job, site_hint),
-                name=f"supervise:job{job.job_id}")
+        for layer in self.layers.admit:
+            # The first admit layer takes the job over and places it.
+            return layer.admit(job, site_hint)
         if site_hint is not None and site_hint in self.sites:
             site_name = site_hint
         else:
@@ -349,9 +268,9 @@ class DataGrid:
         Jobs sharing an input-set signature are placed together: the
         first member of each group is placed by the External Scheduler as
         usual, and the rest are hinted to the site it landed on — one ES
-        decision per group instead of one per job.  Under a fault plan
-        placement is asynchronous, so hints are skipped and every member
-        is placed individually by its recovery supervisor.
+        decision per group instead of one per job.  Under an ``admit``
+        layer placement is asynchronous, so hints are skipped and every
+        member is placed individually by its supervisor.
 
         Returns one execution process per job, in input order.
         """
@@ -360,7 +279,7 @@ class DataGrid:
         for job in jobs:
             signature = tuple(sorted(set(job.input_files)))
             procs.append(self.submit(job, site_hint=leaders.get(signature)))
-            if signature not in leaders and self.faults is None:
+            if signature not in leaders and not self.layers.admit:
                 # A shed leader records None: followers fall back to
                 # individual ES placement rather than piling onto the
                 # saturated choice.
@@ -378,33 +297,20 @@ class DataGrid:
         self.lifecycle.abandon(job, reason)
 
     def _select_site(self, job: Job) -> str:
-        """Ask the primary ES for a site, with degraded-mode fallback.
+        """Ask the primary ES for a site, with a layer's fallback.
 
         A primary that *wedges* (raises ``ValueError``: no candidate) is
-        answered by the degraded selector over the usable sites under an
-        overload policy.  If the health detector hides every site in a
-        fault-free run (false positives can do this), the job is placed
-        over all sites instead.  Otherwise the error propagates.
+        answered by the first ``select_fallback`` layer that places the
+        job; when none does, the error propagates.
         """
         try:
             site_name = self.external_scheduler.select_site(job, self)
         except ValueError:
-            candidates = []
-            if self.overload is not None:
-                # Observed mode must not consult the fault oracle here;
-                # the breakers are the only site-health knowledge.
-                observed = (self.health is not None
-                            and self.health.policy.observed_only)
-                candidates = [name for name in sorted(self.sites)
-                              if self._usable(name, oracle=not observed)]
-            if not candidates:
-                if self.health is None or self.faults is not None:
-                    raise
-                candidates = sorted(self.sites)
-            if self.overload is None:
-                return min(candidates,
-                           key=lambda s: (self.sites[s].load, s))
-            return self._degraded_select(job, candidates)
+            for layer in self.layers.select_fallback:
+                fallback = layer.select_fallback(job)
+                if fallback is not None:
+                    return fallback
+            raise
         if site_name not in self.sites:
             raise ValueError(
                 f"{self.external_scheduler!r} chose unknown site "
@@ -412,75 +318,22 @@ class DataGrid:
         return site_name
 
     def _usable(self, name: str, oracle: bool = True) -> bool:
-        """Whether work may be placed at a site: the fault oracle (when
-        consulted) says it is up and its health breaker is closed."""
-        return ((not oracle or self.faults is None
-                 or self.faults.is_up(name))
-                and (self.health is None or self.health.allows(name)))
+        """Whether work may be placed at a site: every ``usable`` layer
+        agrees (``oracle=False`` keeps the fault oracle out of it)."""
+        return all(layer.usable(name, oracle) for layer in self.layers.usable)
 
     def _hand_off(self, job: Job, site_name: str) -> Optional[str]:
         """The destination's acceptance check before a dispatch.
 
-        Resolves a misdirected dispatch (stale catalog), then a full
-        queue (overload).  Returns the site the job goes to, or ``None``
-        after shedding it because no site has room.
+        Each ``hand_off`` layer may move the job (a misdirected dispatch,
+        a full queue).  Returns the site the job goes to, or ``None``
+        after a layer shed it.
         """
-        if self.info.replica_view is not None:
-            site_name = self._resolve_misdirection(job, site_name)
-        if self.overload is not None and self.overload.queue_capacity > 0:
-            site_name = self._resolve_saturation(job, site_name)
+        for layer in self.layers.hand_off:
+            site_name = layer.hand_off(job, site_name)
             if site_name is None:
-                self.lifecycle.shed(job, f"queues saturated (capacity "
-                                    f"{self.overload.queue_capacity}, "
-                                    f"{job.deflections} deflections)")
-                self.overload_stats.jobs_shed += 1
+                break
         return site_name
-
-    def _resolve_saturation(self, job: Job,
-                            site_name: str) -> Optional[str]:
-        """Deflect a job aimed at a full queue; ``None`` = shed it.
-
-        Each loop iteration spends one unit of the deflect budget and
-        re-places the job over the *unsaturated* up sites, so the loop
-        always terminates: either the chosen site has room, no site has
-        room (shed), or the budget runs out (shed).
-        """
-        policy = self.overload
-        cap = policy.queue_capacity
-        while self.sites[site_name].load >= cap:
-            candidates = [name for name, site in sorted(self.sites.items())
-                          if site.load < cap and self._usable(name)]
-            if not candidates or job.deflections >= policy.deflect_budget:
-                return None
-            self.overload_stats.jobs_deflected += 1
-            target = self._degraded_select(job, candidates)
-            self.lifecycle.deflect(job, origin=site_name, site=target)
-            site_name = target
-        return site_name
-
-    def _degraded_select(self, job: Job, candidates: List[str]) -> str:
-        """Place a job with the last-resort selector.
-
-        Tries the configured degraded ES first; if it is absent, wedges
-        too, or picks outside ``candidates``, falls back to the
-        deterministic least-loaded (then lexicographic) scan.
-        """
-        self.overload_stats.degraded_dispatches += 1
-        choice = None
-        if self._degraded_es is not None:
-            try:
-                pick = self._degraded_es.select_site(job, self)
-            except ValueError:
-                pick = None
-            if pick in candidates:
-                choice = pick
-        if choice is None:
-            choice = min(candidates, key=lambda s: (self.sites[s].load, s))
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.sim.now, "es.degraded", job=job.job_id, site=choice,
-                es=self.overload.degraded_es or "least-loaded")
-        return choice
 
     @staticmethod
     def _shed_process(job: Job):
@@ -492,164 +345,6 @@ class DataGrid:
         """
         return job
         yield  # pragma: no cover - unreachable; makes this a generator
-
-    def _resolve_misdirection(self, job: Job, site_name: str) -> str:
-        """Detect and recover a dispatch aimed at a phantom replica.
-
-        Under a stale catalog view the ES may send a job to a site whose
-        promised replica was evicted (or never arrived).  The destination
-        notices the miss at hand-off: each promised input (one the stale
-        view locates there) is checked against the live catalog.  The
-        grid then either *bounces* the job back to the ES for one
-        re-dispatch — after reconciling the phantom records, so the
-        second choice is made against corrected information — or, once
-        the bounce budget is spent, lets the job proceed and fall back to
-        a remote fetch via the data mover.  Every hop is synchronous: no
-        simulated time passes, matching the model's zero-cost dispatch.
-        """
-        view = self.info.replica_view
-        budget = self.info.policy.bounce_budget
-        while True:
-            missing = [name for name in job.input_files
-                       if view.has_replica(name, site_name)
-                       and not self.catalog.has_replica(name, site_name)]
-            if not missing:
-                return site_name
-            view.misdirected_jobs += 1
-            self.lifecycle.misdirected(job, site_name, missing)
-            for name in missing:
-                view.reconcile(name, site_name)
-            if job.bounces >= budget:
-                return site_name
-            candidate = self.external_scheduler.select_site(job, self)
-            if candidate not in self.sites:
-                raise ValueError(
-                    f"{self.external_scheduler!r} chose unknown site "
-                    f"{candidate!r}")
-            if not self._usable(candidate):
-                # Bouncing onto a dead site (or one its breaker says is
-                # unhealthy) would trade one phantom for another; keep
-                # the original choice and fetch remotely.
-                return site_name
-            view.bounced_jobs += 1
-            self.lifecycle.bounce(job, origin=site_name, site=candidate)
-            site_name = candidate
-
-    def _submit_with_recovery(self, job: Job,
-                              site_hint: Optional[str] = None):
-        """Dispatch loop under fault injection.
-
-        Each iteration: wait until some site is up, place the job (with a
-        deterministic fallback if the ES's choice is down), and wait for
-        the execution attempt.  A killed attempt comes back with the job
-        in RETRYING; the job is rewound and re-dispatched after the
-        plan's redispatch delay, until it completes or exhausts its retry
-        budget and is accounted FAILED.  A ``site_hint`` (bulk
-        submission) is honoured for the first attempt only, and only
-        while the hinted site is up.
-        """
-        faults = self.faults
-        plan = faults.plan
-        redispatch = (BackoffPolicy(plan.redispatch_delay_s,
-                                    plan.redispatch_delay_s)
-                      if plan.redispatch_delay_s > 0 else None)
-        while True:
-            if job.state is JobState.SPECULATED:
-                # The race was settled while this attempt sat in retry
-                # backoff or parked: the backup clone carried the
-                # logical job, and the health layer conceded this one.
-                return job
-            if self.durability is not None:
-                lost = [name for name in job.input_files
-                        if self.durability.is_lost(name)]
-                if lost:
-                    # An input's every replica is gone.  Retrying cannot
-                    # bring the bytes back, so the job takes its terminal
-                    # edge instead of burning the retry budget.
-                    self.lifecycle.abandon_data_lost(
-                        job, lost[0],
-                        f"input dataset {lost[0]!r} unrecoverably lost")
-                    self.durability.stats.jobs_abandoned += 1
-                    return job
-            if not faults.any_site_up():
-                if faults.grid_lost:
-                    # Every site is permanently dead: recovery can never
-                    # happen, so fail fast instead of waiting forever.
-                    self.lifecycle.fail(job, "all sites permanently failed")
-                    faults.jobs_failed += 1
-                    return job
-                yield faults.recovery_event()
-                continue
-            if (site_hint is not None and site_hint in self.sites
-                    and faults.is_up(site_hint)):
-                site_name = site_hint
-            else:
-                try:
-                    site_name = self._select_site(job)
-                except ValueError:
-                    if self.health is None:
-                        raise
-                    # Every site is hidden from the schedulers (detector
-                    # suspicion, possibly wrongly).  Park until a probe
-                    # re-admits one or the oracle channel recovers.
-                    yield faults.recovery_event()
-                    continue
-            site_hint = None
-            # Hand-off check.  In oracle mode an unreachable choice is
-            # redirected at most once (the fallback consults the already
-            # filtered information service); in observed mode the bounce
-            # itself is the observation — it trips the site's breaker —
-            # and a job that runs out of distinct fallbacks parks until
-            # something is re-admitted.
-            tried = set()
-            while not faults.is_reachable(site_name):
-                if (self.health is not None
-                        and self.health.policy.observed_only):
-                    self.health.record_dispatch_failure(site_name)
-                tried.add(site_name)
-                fallback = faults.fallback_site()
-                if fallback is None or fallback in tried:
-                    site_name = None
-                    break
-                self.lifecycle.redirect(job, chosen=site_name,
-                                        fallback=fallback)
-                site_name = fallback
-                faults.jobs_redirected += 1
-            if site_name is None:
-                if faults.any_site_up():
-                    yield faults.recovery_event()
-                continue  # wait for recovery / re-admission
-            site_name = self._hand_off(job, site_name)
-            if site_name is None:
-                return job
-            self.lifecycle.dispatch(job, site_name,
-                                    attempt=job.retries + 1)
-            yield self.sites[site_name].enqueue(job)
-            if job.state in (JobState.DONE, JobState.EXPIRED,
-                             JobState.SPECULATED):
-                # Expiry, like completion, is terminal: the deadline
-                # already accounted the job — retrying would double it.
-                # SPECULATED means this attempt lost a speculation race:
-                # the logical job completed through its backup clone.
-                return job
-            if job.retries >= plan.job_max_retries:
-                if (self.health is not None
-                        and self.health.retire_dead_attempt(job)):
-                    # Out of budget, but a speculation partner is live
-                    # (or already DONE): the partner's outcome is the
-                    # logical job's outcome, so this attempt concedes
-                    # instead of booking a failure.
-                    return job
-                self.lifecycle.fail(
-                    job, job.failure_reason or "retries exhausted")
-                faults.jobs_failed += 1
-                return job
-            self.lifecycle.retry(job)
-            faults.jobs_retried += 1
-            if redispatch is not None:
-                # Routed through the shared backoff helper; with base ==
-                # cap this is the plan's constant delay, bit for bit.
-                yield self.sim.timeout(redispatch.delay(job.retries))
 
     def add_user(self, user: User) -> None:
         """Register a user (started by :meth:`run`)."""

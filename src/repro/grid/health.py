@@ -38,8 +38,8 @@ frozen :class:`HealthPolicy`:
   speculated at most once, bounding wasted work.
 
 Every knob defaults *off*: a grid built without a policy (or with a null
-one) takes the exact pre-health code paths, keeping the committed golden
-trace digests bitwise-identical.  Enabled runs draw all randomness from
+one) arms no monitor, keeping the committed golden trace digests
+bitwise-identical.  Enabled runs draw all randomness from
 the dedicated ``"health"`` stream (per-site heartbeat sub-streams in
 sorted site order, one shared probe-jitter stream), so they stay
 deterministic at any worker count.
@@ -260,8 +260,12 @@ class HealthMonitor:
     Owns the heartbeat processes, the detector, every breaker, the
     half-open probers, and the speculation manager.  Constructed and
     installed by :meth:`~repro.grid.grid.DataGrid.create` when a non-null
-    :class:`HealthPolicy` is given.
+    :class:`HealthPolicy` is given.  Successful fetches feed the link
+    breakers through the ``delivery`` hook; failures arrive through the
+    transfer manager's abort hook — one channel each, no double counting.
     """
+
+    NAME = "health"
 
     def __init__(self, sim: "Simulator", grid: "DataGrid",
                  policy: HealthPolicy,
@@ -307,17 +311,15 @@ class HealthMonitor:
         #: Completed attempt durations (dispatch -> done), the straggler
         #: threshold's sample population.
         self._durations: List[float] = []
+        self.hooks = ("usable", "select_fallback", "source_choice",
+                      "delivery", "replication_veto")
 
     # -- installation -------------------------------------------------------
 
     def install(self) -> None:
         """Wire the monitor into the grid and spawn its processes."""
         grid = self.grid
-        grid.health = self
-        grid.datamover.health = self
         self.tracer = grid.tracer
-        for site in grid.sites.values():
-            site.health = self
         grid.transfers.on_abort.append(self._on_transfer_abort)
         if self.policy.heartbeat_interval_s > 0:
             # Per-site heartbeat sub-streams drawn in sorted order:
@@ -333,9 +335,10 @@ class HealthMonitor:
                     "speculation is incompatible with DAG workloads "
                     "(dependency release keys on the primary reaching "
                     "DONE)")
-            grid.lifecycle.hooks.append(self._on_transition)
+            grid.lifecycle.hooks.append(self.transition)
             self.sim.process(self._straggler_loop(),
                              name="health:speculator")
+        grid.layers.add(self)
 
     def _emit(self, kind: str, **detail) -> None:
         if self.tracer is not None:
@@ -357,10 +360,49 @@ class HealthMonitor:
         breaker = self.link_breakers.get((a, b) if a <= b else (b, a))
         return breaker is not None and breaker.state is OPEN
 
+    # -- hook points ----------------------------------------------------------
+
+    def usable(self, site: str, oracle: bool) -> bool:
+        return self.allows(site)
+
+    def select_fallback(self, job: Job) -> Optional[str]:
+        """Place a job the primary ES could not place, over all sites.
+
+        Only in a fault-free run: there the detector can hide every site
+        (false positives do this) while all of them are fine.  Under a
+        fault plan the recovery supervisor parks the job instead.
+        """
+        grid = self.grid
+        if grid.layers.faults is not None:
+            return None
+        candidates = sorted(grid.sites)
+        overload = grid.layers.overload
+        if overload is not None:
+            return overload.degraded_select(job, candidates)
+        return min(candidates, key=lambda s: (grid.sites[s].load, s))
+
+    def source_choice(self, locations: List[str], dest: str,
+                      avoid) -> List[str]:
+        """Open link breakers deprioritize, never ban: a source behind a
+        flaky link is still used when it holds the only replica, and each
+        success there closes the breaker again."""
+        clear = [s for s in locations if not self.link_open(s, dest)]
+        return clear or locations
+
+    def delivery(self, source: str, site: str, dataset_name: str,
+                 tainted: bool) -> bool:
+        self.record_transfer_success(source, site)
+        return True
+
+    def replication_veto(self, site: str) -> Optional[str]:
+        """The Dataset Scheduler must not push replicas at a site the
+        breaker currently quarantines."""
+        return None if self.allow_replication(site) else "breaker-open"
+
     # -- heartbeats and detection -------------------------------------------
 
     def _reachable(self, site: str) -> bool:
-        faults = self.grid.faults
+        faults = self.grid.layers.faults
         return faults is None or faults.is_reachable(site)
 
     def _heartbeat_loop(self, site: str, rng: random.Random):
@@ -405,7 +447,7 @@ class HealthMonitor:
         # Oracle reads below feed *metrics only*: whether the suspicion
         # was right, and how late it came.  Behavior never branches on
         # them.
-        faults = self.grid.faults
+        faults = self.grid.layers.faults
         if faults is None or self._reachable(site):
             stats.false_suspicions += 1
         else:
@@ -476,11 +518,12 @@ class HealthMonitor:
         # re-admission, not from a beat that predates the outage.
         self._last_beat[site] = self.sim.now
         self._intervals[site].clear()
-        if self.grid.faults is not None:
+        faults = self.grid.layers.faults
+        if faults is not None:
             # A parked recovery supervisor may be waiting for exactly
             # this re-admission (observed mode hides sites it cannot
             # otherwise un-hide).
-            self.grid.faults.wake_recovery_waiters(site)
+            faults.wake_recovery_waiters(site)
 
     # -- link breakers (transfer feedback) ----------------------------------
 
@@ -575,8 +618,8 @@ class HealthMonitor:
         if not candidates:
             return
         site_name = info.least_loaded(candidates)
-        if grid.faults is not None and not grid.faults.is_reachable(
-                site_name):
+        faults = grid.layers.faults
+        if faults is not None and not faults.is_reachable(site_name):
             # The hand-off itself bounces — which is an observation, so
             # feed the breaker; the straggler stays eligible next tick.
             self.record_dispatch_failure(site_name)
@@ -671,8 +714,8 @@ class HealthMonitor:
         pair = self._pairs.get(job.job_id)
         return pair[1] if pair is not None else None
 
-    def _on_transition(self, job: Job, src: JobState, dst: JobState,
-                       edge: str, now: float) -> None:
+    def transition(self, job: Job, src: JobState, dst: JobState,
+                   edge: str, now: float) -> None:
         """Transition-engine hook (registered only with speculation on)."""
         if dst is JobState.DONE:
             started = self._attempt_started(job)

@@ -101,6 +101,9 @@ class InformationService:
             self.replica_view = StaleReplicaView(
                 sim, catalog, policy.catalog_delay_s)
             catalog.add_listener(self.replica_view)
+        #: Where scheduler replica queries are answered.
+        self._replicas = (self.replica_view if self.replica_view is not None
+                          else catalog)
         # Query-timeout fallback state: sites whose next load queries are
         # served from the last-known value, and that value store.
         self._stale_marked: Set[str] = set()
@@ -266,10 +269,7 @@ class InformationService:
 
     def dataset_locations(self, dataset_name: str) -> List[str]:
         """*Available* sites believed to hold a replica of the dataset."""
-        if self.replica_view is not None:
-            locations = self.replica_view.locations(dataset_name)
-        else:
-            locations = self.catalog.locations(dataset_name)
+        locations = self._replicas.locations(dataset_name)
         if self._hidden:
             locations = [s for s in locations
                          if s not in self._hidden]
@@ -280,8 +280,7 @@ class InformationService:
         names = list(dataset_names)
         if not names:
             return self.site_names
-        source = (self.replica_view if self.replica_view is not None
-                  else self.catalog)
+        source = self._replicas
         result = set(source.location_set(names[0]))
         for name in names[1:]:
             if not result:
@@ -293,20 +292,14 @@ class InformationService:
 
     def has_replica(self, dataset_name: str, site: str) -> bool:
         """Whether the service believes ``site`` holds ``dataset_name``."""
-        if self.replica_view is not None:
-            return self.replica_view.has_replica(dataset_name, site)
-        return self.catalog.has_replica(dataset_name, site)
+        return self._replicas.has_replica(dataset_name, site)
 
     def replica_count(self, dataset_name: str) -> int:
         """Believed number of replicas of the dataset."""
-        if self.replica_view is not None:
-            return self.replica_view.replica_count(dataset_name)
-        return self.catalog.replica_count(dataset_name)
+        return self._replicas.replica_count(dataset_name)
 
     def bytes_present_by_site(self, dataset_names: Iterable[str],
                               sizes=None) -> Dict[str, float]:
         """Believed MB of the named datasets present per site."""
-        if self.replica_view is not None:
-            return self.replica_view.bytes_present_by_site(
-                dataset_names, sizes=sizes)
-        return self.catalog.bytes_present_by_site(dataset_names, sizes=sizes)
+        return self._replicas.bytes_present_by_site(dataset_names,
+                                                    sizes=sizes)

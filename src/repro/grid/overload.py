@@ -29,16 +29,25 @@ information-quality family:
   to ``degraded_es`` (a registry name) or, last of all, a deterministic
   least-loaded scan.
 
-Every knob defaults *off*: a grid built with a null policy takes the
-exact pre-overload code paths, so disabled runs stay bitwise-identical
-to the committed golden trace digests.  Saturated runs draw no new
-randomness outside the dedicated ``"overload"`` stream, so they stay
-deterministic at any worker count.
+Every knob defaults *off*: a grid built with a null policy arms no
+:class:`OverloadLayer`, so disabled runs stay bitwise-identical to the
+committed golden trace digests.  Saturated runs draw no new randomness
+outside the dedicated ``"overload"`` stream, so they stay deterministic
+at any worker count.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional
+
+from repro.grid.lifecycle import JobState
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.grid.grid import DataGrid
+    from repro.grid.job import Job
+    from repro.sim.core import Simulator
 
 
 @dataclass(frozen=True)
@@ -119,16 +128,15 @@ class OverloadPolicy:
 
 
 class SaturationStats:
-    """Shared mutable saturation counters for one grid run.
+    """Mutable saturation counters for one grid run.
 
-    One instance is wired into the grid, every site, and the data mover
-    so the metrics layer has a single place to read.  Plain attributes,
-    no simulator events — updating a counter can never perturb event
-    order.
+    Plain attributes, no simulator events — updating a counter can never
+    perturb event order.  (Remote reads are the data mover's own
+    counter.)
     """
 
     __slots__ = ("jobs_shed", "jobs_deflected", "jobs_expired",
-                 "degraded_dispatches", "remote_reads")
+                 "degraded_dispatches")
 
     def __init__(self) -> None:
         #: Jobs refused admission (queues full, deflect budget spent).
@@ -139,5 +147,152 @@ class SaturationStats:
         self.jobs_expired = 0
         #: Placements decided by the degraded-mode fallback selector.
         self.degraded_dispatches = 0
-        #: Pinned fetches degraded to streaming reads (nothing stored).
-        self.remote_reads = 0
+
+
+class AgingScheduler:
+    """A Local Scheduler whose queue priorities age linearly.
+
+    Credit grows uniformly with wait time for every queued job, so the
+    pairwise order of two queued jobs is fixed once both are enqueued:
+    ``base - factor * (now - enqueued_at)`` aging folds into the
+    constant key ``base + factor * enqueued_at`` with zero re-sorting.
+    Later arrivals pay a growing penalty, so an old large job cannot be
+    overtaken forever.  Everything else is the wrapped scheduler's.
+    """
+
+    def __init__(self, inner, sim: "Simulator", factor: float) -> None:
+        self.inner = inner
+        self.sim = sim
+        self.factor = factor
+
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)
+
+    def priority(self, job: "Job") -> Optional[int]:
+        priority = self.inner.priority(job)
+        if priority is not None:
+            priority += int(self.factor * self.sim.now * 1000)
+        return priority
+
+
+class OverloadLayer:
+    """The overload layer of one grid: policy, counters, degraded ES.
+
+    Install also arms the storage reservations, the lifecycle engine's
+    queue deadline and the Local Schedulers' aging the policy asks for.
+    """
+
+    NAME = "overload"
+
+    def __init__(self, sim: "Simulator", grid: "DataGrid",
+                 policy: OverloadPolicy,
+                 rng: Optional[random.Random] = None) -> None:
+        self.sim = sim
+        self.grid = grid
+        self.policy = policy
+        self.stats = SaturationStats()
+        #: Last-resort External Scheduler, or ``None``.
+        self.degraded_es = None
+        if policy.degraded_es:
+            from repro.scheduling.registry import make_external_scheduler
+
+            self.degraded_es = make_external_scheduler(
+                policy.degraded_es, rng or random.Random(0))
+        self.hooks = ("select_fallback",)
+        if policy.queue_capacity > 0:
+            self.hooks += ("hand_off",)
+
+    def install(self) -> None:
+        grid = self.grid
+        policy = self.policy
+        grid.layers.add(self)
+        grid.lifecycle.hooks.append(self.transition)
+        if policy.storage_reservations:
+            for storage in grid.storages.values():
+                storage.reserve_inbound = True
+                storage.remote_read_after = policy.remote_read_after
+        if policy.aging_factor > 0:
+            for site in grid.sites.values():
+                site.local_scheduler = AgingScheduler(
+                    site.local_scheduler, self.sim, policy.aging_factor)
+        # The sites race each queued job against this deadline, and the
+        # engine's start edge enforces no-starvation as a guard.
+        grid.lifecycle.deadline_of = self.deadline_of
+
+    def deadline_of(self, job: "Job") -> float:
+        """The job's queue deadline in seconds (0 = none)."""
+        if job.deadline_s is not None:
+            return job.deadline_s
+        return self.policy.job_deadline_s
+
+    # -- hook points ------------------------------------------------------
+
+    def select_fallback(self, job: "Job") -> Optional[str]:
+        """Degraded placement over the usable sites (None: there are none).
+
+        Observed mode must not consult the fault oracle here; the
+        breakers are the only site-health knowledge.
+        """
+        grid = self.grid
+        health = grid.layers.health
+        observed = health is not None and health.policy.observed_only
+        candidates = [name for name in sorted(grid.sites)
+                      if grid._usable(name, oracle=not observed)]
+        if not candidates:
+            return None
+        return self.degraded_select(job, candidates)
+
+    def hand_off(self, job: "Job", site_name: str) -> Optional[str]:
+        """Deflect a job aimed at a full queue; ``None`` = it was shed.
+
+        Each deflection spends one unit of the deflect budget and
+        re-places the job over the *unsaturated* usable sites, so the
+        loop always terminates: either the chosen site has room, no site
+        has room (shed), or the budget runs out (shed).
+        """
+        grid = self.grid
+        policy = self.policy
+        cap = policy.queue_capacity
+        while grid.sites[site_name].load >= cap:
+            candidates = [name for name, site in sorted(grid.sites.items())
+                          if site.load < cap and grid._usable(name)]
+            if not candidates or job.deflections >= policy.deflect_budget:
+                grid.lifecycle.shed(job, f"queues saturated (capacity "
+                                    f"{cap}, {job.deflections} deflections)")
+                self.stats.jobs_shed += 1
+                return None
+            self.stats.jobs_deflected += 1
+            target = self.degraded_select(job, candidates)
+            grid.lifecycle.deflect(job, origin=site_name, site=target)
+            site_name = target
+        return site_name
+
+    def transition(self, job: "Job", src: JobState, dst: JobState,
+                   edge: str, now: float) -> None:
+        if dst is JobState.EXPIRED:
+            self.stats.jobs_expired += 1
+
+    def degraded_select(self, job: "Job", candidates: List[str]) -> str:
+        """Place a job with the last-resort selector.
+
+        Tries the configured degraded ES first; if it is absent, wedges
+        too, or picks outside ``candidates``, falls back to the
+        deterministic least-loaded (then lexicographic) scan.
+        """
+        grid = self.grid
+        self.stats.degraded_dispatches += 1
+        choice = None
+        if self.degraded_es is not None:
+            try:
+                pick = self.degraded_es.select_site(job, grid)
+            except ValueError:
+                pick = None
+            if pick in candidates:
+                choice = pick
+        if choice is None:
+            choice = min(candidates, key=lambda s: (grid.sites[s].load, s))
+        if grid.tracer is not None:
+            grid.tracer.emit(
+                self.sim.now, "es.degraded", job=job.job_id, site=choice,
+                es=self.policy.degraded_es or "least-loaded")
+        return choice

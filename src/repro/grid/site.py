@@ -47,14 +47,13 @@ _PREEMPT_CAUSE = "speculation loser"
 
 
 class _Attempt:
-    """Cleanup bookkeeping for one fault-mode execution attempt.
+    """Cleanup bookkeeping for one execution attempt.
 
     Records exactly which resources the attempt holds at any yield point
-    so an :class:`~repro.sim.errors.Interrupt` (site failure) or a
-    :class:`~repro.grid.datamover.DataUnavailableError` can be unwound
-    without leaking pins or in-flight fetches; the processor goes back
-    through the attempt's claim.  Null-mode executions pass
-    ``attempt=None`` and skip all of this.
+    so an :class:`~repro.sim.errors.Interrupt` (site failure, speculation
+    loss) or a :class:`~repro.grid.datamover.DataUnavailableError` can be
+    unwound without leaking pins or in-flight fetches; the processor goes
+    back through the attempt's claim.
     """
 
     __slots__ = ("fetch", "fetch_name", "pinned", "computing")
@@ -160,30 +159,16 @@ class Site:
         # Dispatcher state (only used when the LS runs in dispatch mode).
         self._pending: List[_DispatchClaim] = []
         self._free_processors = compute.n_processors
-        #: Fault injector (None = fault-free; every hot path is gated on
-        #: this staying None so a no-fault run is bitwise-identical).
-        self.faults = None
         #: Domain-event tracer (None = tracing off; one attribute check).
         self.tracer = None
-        #: Alive execution processes, tracked only in fault mode so
-        #: :meth:`fail_site` can kill them.  An insertion-ordered dict, not
-        #: a set: Process hashes by id, and interrupt order must not depend
-        #: on memory layout or a run stops being reproducible.
+        #: Alive execution processes, so :meth:`fail_site` can kill them.
+        #: An insertion-ordered dict, not a set: Process hashes by id, and
+        #: interrupt order must not depend on memory layout or a run stops
+        #: being reproducible.
         self._alive: Dict[Process, None] = {}
         #: job id -> its live execution process, for targeted preemption
         #: (speculation races).  Maintained alongside ``_alive``.
         self._attempts_by_job: Dict[int, Process] = {}
-        #: Overload policy + shared saturation counters, installed by the
-        #: grid when an :class:`~repro.grid.overload.OverloadPolicy` is
-        #: active.  ``None`` keeps execution on the exact pre-overload
-        #: code paths (no deadlines, no aging).
-        self.overload = None
-        self.overload_stats = None
-        #: Observed-health monitor (``None`` = off; installed by the
-        #: grid when a :class:`~repro.grid.health.HealthPolicy` is
-        #: active).  Its only effect here is that attempts become
-        #: trackable/preemptable even without a fault plan.
-        self.health = None
         #: High-water mark of the waiting-job count (metrics; tracked
         #: unconditionally — max() never changes behaviour).
         self.peak_queue_depth = 0
@@ -226,51 +211,26 @@ class Site:
         if dispatches:
             claim = _DispatchClaim(self, job, prefetches)
         else:
-            claim = _QueueClaim(self.sim, self.compute, self._priority(job))
-        attempt = (_Attempt() if (self.faults is not None
-                                  or self.health is not None) else None)
+            claim = _QueueClaim(self.sim, self.compute,
+                                self.local_scheduler.priority(job))
         process = self.sim.process(
-            self._execute(job, claim, prefetches, attempt),
+            self._execute(job, claim, prefetches),
             name=f"job{job.job_id}@{self.name}")
-        if attempt is not None:
-            self._track(process, job)
+        self._track(process, job)
         if dispatches:
             self._try_dispatch()
         self._note_queue_depth()
         return process
-
-    def _priority(self, job: Job) -> Optional[int]:
-        """The job's processor-queue key, aged under overload (or None)."""
-        priority = self.local_scheduler.priority(job)
-        if (priority is not None and self.overload is not None
-                and self.overload.aging_factor > 0):
-            # Linear starvation aging, folded into a constant key: credit
-            # grows uniformly with wait time for everyone, so the pairwise
-            # order of two queued jobs is fixed once both are enqueued —
-            # equivalent to `base - factor*(now - enqueued_at)` aging, but
-            # with zero re-sorting.  Later arrivals pay a growing penalty,
-            # so an old large job cannot be overtaken forever.
-            priority += int(self.overload.aging_factor * self.sim.now * 1000)
-        return priority
 
     def _note_queue_depth(self) -> None:
         depth = self.load
         if depth > self.peak_queue_depth:
             self.peak_queue_depth = depth
 
-    def _deadline_of(self, job: Job) -> float:
-        """The job's queue deadline in seconds (0 = none)."""
-        if self.overload is None:
-            return 0.0
-        if job.deadline_s is not None:
-            return job.deadline_s
-        return self.overload.job_deadline_s
-
     def _expire(self, job: Job, deadline: float) -> None:
-        """Terminal queue-deadline expiry: count, trace, account."""
+        """Terminal queue-deadline expiry: account and trace."""
         self.jobs_in_system -= 1
         self.lifecycle.expire(job, self.name, deadline)
-        self.overload_stats.jobs_expired += 1
 
     def _track(self, process: Process, job: Job) -> None:
         self._alive[process] = None
@@ -330,14 +290,16 @@ class Site:
             self._free_processors -= 1
             claim.granted.succeed()
 
-    def _execute(self, job: Job, claim, prefetches, attempt=None):
+    def _execute(self, job: Job, claim, prefetches):
         """The attempt body: claim a processor, get the data, compute."""
-        pinned = attempt.pinned if attempt is not None else []
+        attempt = _Attempt()
+        pinned = attempt.pinned
         try:
             # 1. Wait for a processor, in LS-decided order — racing the
-            #    queue deadline when one is set.  A tie at the same
-            #    instant goes to execution.
-            deadline = self._deadline_of(job)
+            #    queue deadline when a layer set one on the lifecycle
+            #    engine.  A tie at the same instant goes to execution.
+            deadline_of = self.lifecycle.deadline_of
+            deadline = deadline_of(job) if deadline_of is not None else 0.0
             if deadline > 0:
                 expiry = self.sim.timeout(deadline)
                 yield self.sim.any_of([claim.granted, expiry])
@@ -356,30 +318,23 @@ class Site:
             #    in flight) and this is instantaneous.
             prefetched = yield claim.ready(prefetches)
             fetched_mb = sum(prefetched.values())
-            fetched_mb += yield from self._fetch_inputs(job, attempt, pinned)
+            fetched_mb += yield from self._fetch_inputs(job, attempt)
             self.lifecycle.data_ready(job, self.name, fetched_mb)
 
             # 3. Compute.
             self.lifecycle.start(job, self.name)
             for fname in job.input_files:
-                # Under overload a remote-read input was never stored,
-                # and under durability a quarantine may have removed an
-                # input between its fetch and here — nothing to touch
-                # or count then.
-                if ((self.overload is None
-                        and self.datamover.durability is None)
-                        or fname in self.storage):
+                # A remote-read input was never stored, and a quarantine
+                # may have removed an input between its fetch and here —
+                # nothing to touch or count then.
+                if fname in self.storage:
                     self.storage.record_access(fname, self.sim.now)
-            if attempt is not None:
-                attempt.computing = True
+            attempt.computing = True
             self.compute.compute_started()
             yield self.sim.timeout(job.runtime_s)
             self.compute.compute_finished()
-            if attempt is not None:
-                attempt.computing = False
+            attempt.computing = False
         except (Interrupt, DataUnavailableError) as err:
-            if attempt is None:
-                raise
             claim.give_back()
             self._unwind(job, attempt, err)
             return job
@@ -401,26 +356,24 @@ class Site:
             listener(job)
         return job
 
-    def _fetch_inputs(self, job: Job, attempt, pinned: List[str]):
-        """Pin every input locally; fault mode tracks the in-flight fetch.
+    def _fetch_inputs(self, job: Job, attempt: _Attempt):
+        """Pin every input locally, tracking the in-flight fetch.
 
-        ``pinned`` collects the names actually pinned: a fetch degraded
-        to a remote read (:class:`RemoteReadMB`) stored and pinned
-        nothing, so neither completion nor an unwind may unpin it.
+        ``attempt.pinned`` collects the names actually pinned: a fetch
+        degraded to a remote read (:class:`RemoteReadMB`) stored and
+        pinned nothing, so neither completion nor an unwind may unpin it.
         """
         fetched_mb = 0.0
         for fname in job.input_files:
             fetch = self.datamover.ensure_local(self.name, fname, pin=True)
-            if attempt is not None:
-                attempt.fetch = fetch
-                attempt.fetch_name = fname
+            attempt.fetch = fetch
+            attempt.fetch_name = fname
             moved = yield fetch
             fetched_mb += moved
-            if attempt is not None:
-                attempt.fetch = None
-                attempt.fetch_name = None
+            attempt.fetch = None
+            attempt.fetch_name = None
             if not isinstance(moved, RemoteReadMB):
-                pinned.append(fname)
+                attempt.pinned.append(fname)
         return fetched_mb
 
     def _unwind(self, job: Job, attempt, err) -> None:

@@ -21,7 +21,9 @@ against is minutes behind the truth.  This module supplies that model:
 
 The view also keeps the misdirection accounting (jobs dispatched on
 phantom replicas, bounced re-dispatches, stale reads served) so the
-metrics layer has one place to look.
+metrics layer has one place to look.  As the grid's ``staleness`` layer
+(:mod:`repro.grid.layers`) it resolves misdirected dispatches at
+hand-off.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Mapping, \
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.grid.catalog import ReplicaCatalog
+    from repro.grid.grid import DataGrid
+    from repro.grid.job import Job
     from repro.sim.core import Simulator
 
 #: Shared immutable empty result for queries about unknown names/sites.
@@ -120,6 +124,9 @@ class StaleReplicaView:
     replica-location service while the transfer service moves real files.
     """
 
+    NAME = "staleness"
+    hooks = ("hand_off", "placement")
+
     def __init__(self, sim: "Simulator", catalog: "ReplicaCatalog",
                  delay_s: float) -> None:
         if delay_s <= 0:
@@ -144,6 +151,56 @@ class StaleReplicaView:
         self.bounced_jobs = 0
         #: Domain-event tracer (None = tracing off; set by grid wiring).
         self.tracer = None
+        #: The grid whose dispatches this view vets (None standalone).
+        self.grid: Optional["DataGrid"] = None
+
+    def install(self) -> None:
+        self.tracer = self.grid.tracer
+        self.grid.layers.add(self)
+
+    # -- hook points ------------------------------------------------------------
+
+    def hand_off(self, job: "Job", site_name: str) -> str:
+        """Detect and recover a dispatch aimed at a phantom replica.
+
+        Under a stale catalog view the ES may send a job to a site whose
+        promised replica was evicted (or never arrived).  The destination
+        notices the miss at hand-off: each promised input (one the stale
+        view locates there) is checked against the live catalog.  The
+        grid then either *bounces* the job back to the ES for one
+        re-dispatch — after reconciling the phantom records, so the
+        second choice is made against corrected information — or, once
+        the bounce budget is spent, lets the job proceed and fall back to
+        a remote fetch via the data mover.  Every hop is synchronous: no
+        simulated time passes, matching the model's zero-cost dispatch.
+        """
+        grid = self.grid
+        budget = grid.info.policy.bounce_budget
+        while True:
+            missing = [name for name in job.input_files
+                       if self.has_replica(name, site_name)
+                       and not self.catalog.has_replica(name, site_name)]
+            if not missing:
+                return site_name
+            self.misdirected_jobs += 1
+            grid.lifecycle.misdirected(job, site_name, missing)
+            for name in missing:
+                self.reconcile(name, site_name)
+            if job.bounces >= budget:
+                return site_name
+            candidate = grid.external_scheduler.select_site(job, grid)
+            if candidate not in grid.sites:
+                raise ValueError(
+                    f"{grid.external_scheduler!r} chose unknown site "
+                    f"{candidate!r}")
+            if not grid._usable(candidate):
+                # Bouncing onto a dead site (or one its breaker says is
+                # unhealthy) would trade one phantom for another; keep
+                # the original choice and fetch remotely.
+                return site_name
+            self.bounced_jobs += 1
+            grid.lifecycle.bounce(job, origin=site_name, site=candidate)
+            site_name = candidate
 
     # -- catalog listener protocol ---------------------------------------------
 
@@ -191,6 +248,8 @@ class StaleReplicaView:
         pending = self._pending
         while pending:
             self._apply(pending.popleft())
+
+    placement = sync_all
 
     def reconcile(self, dataset: str, site: str) -> None:
         """Force the view's record for one (dataset, site) pair to truth.

@@ -81,6 +81,14 @@ class StorageElement:
         #: restarts the pin count, so jobs that pinned the *old* copy
         #: legitimately unpin more times than the new entry was pinned.
         self.forgive_unpins = False
+        #: Route inbound fetches through the reservation ledger
+        #: (:meth:`claim`).  Set by the overload layer's
+        #: ``storage_reservations``.
+        self.reserve_inbound = False
+        #: Claim rounds a pinned fetch may fail before it streams its
+        #: bytes past this element instead (0 = never).  Set with
+        #: :attr:`reserve_inbound`.
+        self.remote_read_after = 0
 
     def __repr__(self) -> str:
         return (f"<StorageElement {self.site} {self._used_mb:.0f}"
@@ -239,6 +247,18 @@ class StorageElement:
 
     # -- reservations --------------------------------------------------------
 
+    def claim(self, dataset: Dataset, now: float) -> bool:
+        """Whether an inbound fetch of ``dataset`` may start now.
+
+        With :attr:`reserve_inbound` the space is reserved at once
+        (:meth:`reserve`); otherwise this only checks that the file could
+        fit (:meth:`can_fit`).  Land the file with
+        :meth:`commit_reservation` either way.
+        """
+        if self.reserve_inbound:
+            return self.reserve(dataset, now)
+        return self.can_fit(dataset.size_mb)
+
     def reserve(self, dataset: Dataset, now: float) -> bool:
         """Set space aside for an inbound transfer of ``dataset``.
 
@@ -282,7 +302,8 @@ class StorageElement:
 
         Because every add and reservation since :meth:`reserve` kept
         ``used + reserved <= capacity`` with this hold included, the add
-        is guaranteed to fit without even evicting.
+        is guaranteed to fit without even evicting.  With no hold this
+        is a plain :meth:`add`, which may raise :class:`StorageFullError`.
         """
         self.release_reservation(dataset.name)
         self.add(dataset, now, pin=pin)

@@ -241,10 +241,14 @@ class RunMetrics:
         for job in jobs:
             jobs_per_site[job.execution_site] += 1
 
-        faults = grid.faults
+        layers = grid.layers
+        faults = layers.faults
+        overload = layers.overload
+        health = layers.health
+        durability = layers.durability
         downtime = (faults.downtime_per_site(horizon)
                     if faults is not None else {})
-        view = grid.info.replica_view
+        view = layers.staleness
 
         return cls(
             n_jobs=len(jobs),
@@ -282,12 +286,11 @@ class RunMetrics:
             stale_reads=view.stale_reads if view else 0,
             jobs_shed=len(shed),
             jobs_expired=len(expired),
-            jobs_deflected=(grid.overload_stats.jobs_deflected
-                            if grid.overload_stats else 0),
-            degraded_dispatches=(grid.overload_stats.degraded_dispatches
-                                 if grid.overload_stats else 0),
-            remote_reads=(grid.overload_stats.remote_reads
-                          if grid.overload_stats else 0),
+            jobs_deflected=(overload.stats.jobs_deflected
+                            if overload else 0),
+            degraded_dispatches=(overload.stats.degraded_dispatches
+                                 if overload else 0),
+            remote_reads=grid.datamover.remote_reads,
             replications_skipped_full=(
                 grid.datamover.replications_skipped_full),
             peak_queue_depth=max(
@@ -296,46 +299,46 @@ class RunMetrics:
                 s.peak_used_mb for s in grid.storages.values()),
             peak_storage_reserved_mb=max(
                 s.peak_reserved_mb for s in grid.storages.values()),
-            suspicions=(grid.health.stats.suspicions if grid.health else 0),
+            suspicions=(health.stats.suspicions if health else 0),
             false_suspicions=(
-                grid.health.stats.false_suspicions if grid.health else 0),
+                health.stats.false_suspicions if health else 0),
             mean_detection_latency_s=(
-                grid.health.stats.mean_detection_latency_s
-                if grid.health else 0.0),
+                health.stats.mean_detection_latency_s
+                if health else 0.0),
             breaker_trips=(
-                grid.health.stats.breaker_trips if grid.health else 0),
+                health.stats.breaker_trips if health else 0),
             breaker_restores=(
-                grid.health.stats.breaker_restores if grid.health else 0),
-            health_probes=(grid.health.stats.probes if grid.health else 0),
+                health.stats.breaker_restores if health else 0),
+            health_probes=(health.stats.probes if health else 0),
             speculative_launched=(
-                grid.health.stats.speculative_launched if grid.health else 0),
+                health.stats.speculative_launched if health else 0),
             speculative_losers=(
-                grid.health.stats.speculative_losers if grid.health else 0),
+                health.stats.speculative_losers if health else 0),
             speculative_wasted_s=(
-                grid.health.stats.speculative_wasted_s if grid.health
+                health.stats.speculative_wasted_s if health
                 else 0.0),
             replicas_corrupted=(
-                grid.durability.stats.replicas_corrupted
-                if grid.durability else 0),
+                durability.stats.replicas_corrupted
+                if durability else 0),
             replicas_quarantined=(
-                grid.durability.stats.replicas_quarantined
-                if grid.durability else 0),
+                durability.stats.replicas_quarantined
+                if durability else 0),
             replicas_repaired=(
-                grid.durability.stats.replicas_repaired
-                if grid.durability else 0),
+                durability.stats.replicas_repaired
+                if durability else 0),
             datasets_lost=(
-                grid.durability.stats.datasets_lost
-                if grid.durability else 0),
+                durability.stats.datasets_lost
+                if durability else 0),
             jobs_abandoned_data_lost=len(abandoned),
             # From the transfer ledger, not the manager's own counter, so
             # it cross-validates exactly against transfer.done records.
             repair_bytes_mb=by_purpose.get("repair", 0.0),
             mean_repair_latency_s=(
-                grid.durability.stats.mean_repair_latency_s
-                if grid.durability else 0.0),
+                durability.stats.mean_repair_latency_s
+                if durability else 0.0),
             scrub_passes=(
-                grid.durability.stats.scrub_passes
-                if grid.durability else 0),
+                durability.stats.scrub_passes
+                if durability else 0),
             jobs_per_site=jobs_per_site,
             idle_per_site={
                 name: site.compute.idle_fraction(horizon)

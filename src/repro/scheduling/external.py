@@ -147,7 +147,7 @@ class JobHealthFiltered(ExternalScheduler):
 
     def select_site(self, job: "Job", grid: "DataGrid") -> str:
         site = self.inner.select_site(job, grid)
-        health = grid.health
+        health = grid.layers.health
         if health is None or health.allows(site):
             return site
         allowed = sorted(

@@ -40,10 +40,11 @@ Invariants checked:
   capacity (trivially true without reservations).
 * **no-starvation** — with a queue deadline set, no job still waits in a
   queue beyond its deadline (the expiry machinery must have fired).
-* **no-double-completion** — with the health layer's speculation armed,
-  no primary/backup pair has both attempts DONE: the transition hook
-  must have preempted the loser into SPECULATED, and every loser's
-  logical job has exactly one DONE attempt.
+* **no-double-completion** — with the health layer armed, each logical
+  job (a primary plus every backup clone launched for it: a primary
+  whose backup died alone may be speculated again) has at most one DONE
+  attempt — the transition hook must have preempted the losers into
+  SPECULATED — and not every attempt of it is SPECULATED.
 * **breaker-state-sane** — the health layer's site breakers and the
   information service agree: every open/half-open breaker's site is
   hidden (suspected) and every closed breaker's site is advertised.
@@ -293,9 +294,10 @@ class Watchdog:
                        pending=len(view._pending))
 
     def _check_queue_bounds(self) -> None:
-        policy = self.grid.overload
-        if policy is None or policy.queue_capacity == 0:
+        overload = self.grid.layers.overload
+        if overload is None or overload.policy.queue_capacity == 0:
             return
+        policy = overload.policy
         cap = policy.queue_capacity
         for site in self.grid.sites.values():
             if site.load > cap:
@@ -334,8 +336,8 @@ class Watchdog:
                     capacity_mb=storage.capacity_mb)
 
     def _check_starvation(self) -> None:
-        policy = self.grid.overload
-        if policy is None:
+        overload = self.grid.layers.overload
+        if overload is None:
             return
         now = self.sim.now
         engine = self.grid.lifecycle
@@ -345,8 +347,7 @@ class Watchdog:
         # edge via its deadline guard.)
         for job_id in sorted(engine.by_state[JobState.FETCHING]):
             job = engine.jobs[job_id]
-            deadline = (job.deadline_s if job.deadline_s is not None
-                        else policy.job_deadline_s)
+            deadline = overload.deadline_of(job)
             if deadline <= 0:
                 continue
             if (job.processor_at is None and job.queued_at is not None
@@ -362,33 +363,36 @@ class Watchdog:
 
 
     def _check_double_completion(self) -> None:
-        health = self.grid.health
-        if health is None:
+        if self.grid.layers.health is None:
             return
         engine = self.grid.lifecycle
+        clones: Dict[int, List[Any]] = {}
         for job in self.grid.submitted_jobs:
-            if job.speculative_of is None:
-                continue
-            primary = engine.jobs.get(job.speculative_of)
+            if job.speculative_of is not None:
+                clones.setdefault(job.speculative_of, []).append(job)
+        for primary_id, backups in clones.items():
+            primary = engine.jobs.get(primary_id)
             if primary is None:
                 continue
-            if (job.state is JobState.DONE
-                    and primary.state is JobState.DONE):
+            family = [primary] + backups
+            done = [job.job_id for job in family
+                    if job.state is JobState.DONE]
+            if len(done) > 1:
                 self._fail(
                     "no-double-completion",
-                    f"speculation pair ({primary.job_id}, {job.job_id}) "
-                    "has both attempts DONE",
-                    primary=primary.job_id, clone=job.job_id)
-            if (job.state is JobState.SPECULATED
-                    and primary.state is JobState.SPECULATED):
+                    f"logical job {primary_id} has {len(done)} attempts "
+                    "DONE",
+                    primary=primary_id, done=done)
+            if all(job.state is JobState.SPECULATED for job in family):
                 self._fail(
                     "no-double-completion",
-                    f"speculation pair ({primary.job_id}, {job.job_id}) "
-                    "lost on both sides — nobody completed the logical job",
-                    primary=primary.job_id, clone=job.job_id)
+                    f"logical job {primary_id} lost on every attempt — "
+                    "nobody completed it",
+                    primary=primary_id,
+                    clones=[job.job_id for job in backups])
 
     def _check_breaker_state(self) -> None:
-        health = self.grid.health
+        health = self.grid.layers.health
         if health is None:
             return
         info = self.grid.info
@@ -408,7 +412,7 @@ class Watchdog:
                     site=site, breaker=breaker.state)
 
     def _check_catalog_durability(self) -> None:
-        durability = self.grid.durability
+        durability = self.grid.layers.durability
         if durability is None:
             return
         catalog = self.grid.catalog

@@ -40,9 +40,8 @@ def make_grid(plan=None, fault_seed=0):
 class TestInstallation:
     def test_null_plan_installs_nothing(self):
         _, grid = make_grid(FaultPlan.none())
-        assert grid.faults is None
-        assert grid.datamover.faults is None
-        assert all(s.faults is None for s in grid.sites.values())
+        assert grid.layers.faults is None
+        assert grid.layers.admit == grid.layers.fetch == ()
 
     def test_injector_rejects_null_plan(self):
         sim, grid = make_grid()
@@ -51,9 +50,11 @@ class TestInstallation:
 
     def test_active_plan_wires_every_layer(self):
         _, grid = make_grid(FaultPlan(transfer_fail_prob=0.5))
-        assert grid.faults is not None
-        assert grid.datamover.faults is grid.faults
-        assert all(s.faults is grid.faults for s in grid.sites.values())
+        faults = grid.layers.faults
+        assert faults is not None
+        assert grid.datamover.layers is grid.layers
+        for point in ("admit", "usable", "fetch", "source_choice"):
+            assert getattr(grid.layers, point) == (faults,)
 
     def test_unknown_site_rejected(self):
         plan = FaultPlan(site_outages=[SiteOutage("nowhere", 0.0, 10.0)])
@@ -71,7 +72,7 @@ class TestScriptedOutages:
     def test_window_takes_site_down_and_back(self):
         plan = FaultPlan(site_outages=[SiteOutage("site02", 100.0, 400.0)])
         sim, grid = make_grid(plan)
-        faults = grid.faults
+        faults = grid.layers.faults
         assert faults.is_up("site02")
         sim.run(until=200.0)
         assert not faults.is_up("site02")
@@ -84,18 +85,19 @@ class TestScriptedOutages:
         plan = FaultPlan(site_outages=[SiteOutage("site02", 100.0, 400.0)])
         sim, grid = make_grid(plan)
         sim.run(until=1000.0)
-        downtime = grid.faults.downtime_per_site()
+        downtime = grid.layers.faults.downtime_per_site()
         assert downtime["site02"] == pytest.approx(300.0)
         assert downtime["site00"] == 0.0
-        assert grid.faults.total_downtime_s() == pytest.approx(300.0)
+        assert grid.layers.faults.total_downtime_s() == pytest.approx(300.0)
 
     def test_downtime_accounting_open_window(self):
         plan = FaultPlan(site_outages=[SiteOutage("site02", 100.0)])
         sim, grid = make_grid(plan)
         sim.run(until=600.0)
-        assert grid.faults.downtime_per_site()["site02"] == pytest.approx(500.0)
+        faults = grid.layers.faults
+        assert faults.downtime_per_site()["site02"] == pytest.approx(500.0)
         # Explicit horizon clips the open window.
-        assert grid.faults.downtime_per_site(horizon=300.0)["site02"] == \
+        assert faults.downtime_per_site(horizon=300.0)["site02"] == \
             pytest.approx(200.0)
 
     def test_permanent_outage_invalidates_catalog_and_storage(self):
@@ -103,7 +105,7 @@ class TestScriptedOutages:
         sim, grid = make_grid(plan)
         assert grid.catalog.has_replica("d1", "site01")
         sim.run(until=200.0)
-        faults = grid.faults
+        faults = grid.layers.faults
         assert "site01" in faults.dead
         assert not faults.is_up("site01")
         assert not grid.catalog.has_replica("d1", "site01")
@@ -124,25 +126,25 @@ class TestScriptedOutages:
 class TestOutageMechanics:
     def test_take_down_twice_is_noop(self):
         sim, grid = make_grid(FaultPlan(transfer_fail_prob=0.1))
-        faults = grid.faults
+        faults = grid.layers.faults
         assert faults.take_site_down("site03")
         assert not faults.take_site_down("site03")
         assert faults.outages_started == 1
 
     def test_bring_up_requires_down(self):
         sim, grid = make_grid(FaultPlan(transfer_fail_prob=0.1))
-        assert not grid.faults.bring_site_up("site03")
+        assert not grid.layers.faults.bring_site_up("site03")
 
     def test_dead_site_never_comes_back(self):
         sim, grid = make_grid(FaultPlan(transfer_fail_prob=0.1))
-        faults = grid.faults
+        faults = grid.layers.faults
         faults.take_site_down("site03", permanent=True)
         assert not faults.bring_site_up("site03")
         assert not faults.is_up("site03")
 
     def test_recovery_event_fires_on_repair(self):
         sim, grid = make_grid(FaultPlan(transfer_fail_prob=0.1))
-        faults = grid.faults
+        faults = grid.layers.faults
         faults.take_site_down("site03")
         event = faults.recovery_event()
         assert not event.triggered
@@ -151,14 +153,14 @@ class TestOutageMechanics:
 
     def test_fallback_site_avoids_down_sites(self):
         sim, grid = make_grid(FaultPlan(transfer_fail_prob=0.1))
-        faults = grid.faults
+        faults = grid.layers.faults
         for name in ("site00", "site01", "site02"):
             faults.take_site_down(name)
         assert faults.fallback_site() == "site03"
 
     def test_grid_lost_wakes_waiters(self):
         sim, grid = make_grid(FaultPlan(transfer_fail_prob=0.1))
-        faults = grid.faults
+        faults = grid.layers.faults
         for name in ("site00", "site01", "site02"):
             faults.take_site_down(name, permanent=True)
         event = faults.recovery_event()
@@ -174,8 +176,8 @@ class TestMtbfOutages:
         plan = FaultPlan(site_mtbf_s=2000.0, site_mttr_s=500.0)
         sim, grid = make_grid(plan)
         sim.run(until=50_000.0)
-        assert grid.faults.outages_started > 0
-        assert grid.faults.total_downtime_s() > 0
+        assert grid.layers.faults.outages_started > 0
+        assert grid.layers.faults.total_downtime_s() > 0
 
     def test_mtbf_outages_deterministic_per_seed(self):
         plan = FaultPlan(site_mtbf_s=2000.0, site_mttr_s=500.0)
@@ -183,8 +185,8 @@ class TestMtbfOutages:
         def observe(fault_seed):
             sim, grid = make_grid(plan, fault_seed=fault_seed)
             sim.run(until=50_000.0)
-            return (grid.faults.outages_started,
-                    grid.faults.downtime_per_site())
+            return (grid.layers.faults.outages_started,
+                    grid.layers.faults.downtime_per_site())
 
         assert observe(1) == observe(1)
         assert observe(1) != observe(2)

@@ -90,16 +90,17 @@ class TestPolicyValidation:
 class TestInstallation:
     def test_no_policy_leaves_every_layer_bare(self):
         _, grid = make_grid(None)
-        assert grid.health is None
-        assert grid.datamover.health is None
-        assert all(s.health is None for s in grid.sites.values())
+        assert grid.layers.health is None
+        assert grid.layers.usable == grid.layers.delivery == ()
 
     def test_monitor_wires_every_layer(self):
         _, grid = make_grid(BEAT)
-        monitor = grid.health
+        monitor = grid.layers.health
         assert monitor is not None
-        assert grid.datamover.health is monitor
-        assert all(s.health is monitor for s in grid.sites.values())
+        assert grid.datamover.layers is grid.layers
+        for point in ("usable", "select_fallback", "source_choice",
+                      "delivery", "replication_veto"):
+            assert getattr(grid.layers, point) == (monitor,)
         assert sorted(monitor.site_breakers) == sorted(grid.sites)
         assert all(b.state is CLOSED
                    for b in monitor.site_breakers.values())
@@ -110,7 +111,7 @@ class TestDetection:
 
     def test_outage_is_detected_with_latency(self):
         sim, grid = make_grid(BEAT, plan=self.PLAN)
-        monitor = grid.health
+        monitor = grid.layers.health
         sim.run(until=99.0)
         assert monitor.site_breakers["site02"].state is CLOSED
         sim.run(until=200.0)
@@ -129,11 +130,11 @@ class TestDetection:
         sim, grid = make_grid(BEAT, plan=self.PLAN)
         sim.run(until=600.0)
         for name in ("site00", "site01", "site03"):
-            assert grid.health.site_breakers[name].state is CLOSED
+            assert grid.layers.health.site_breakers[name].state is CLOSED
 
     def test_probes_restore_after_recovery(self):
         sim, grid = make_grid(BEAT, plan=self.PLAN)
-        monitor = grid.health
+        monitor = grid.layers.health
         sim.run(until=390.0)
         assert monitor.site_breakers["site02"].state in (OPEN, HALF_OPEN)
         assert monitor.stats.probes >= 1
@@ -148,8 +149,8 @@ class TestDetection:
         sim, grid = make_grid(BEAT, plan=self.PLAN)
         sim.run(until=200.0)
         assert "site02" not in grid.info.site_names
-        assert not grid.health.allows("site02")
-        assert not grid.health.allow_replication("site02")
+        assert not grid.layers.health.allows("site02")
+        assert not grid.layers.health.allow_replication("site02")
 
     def test_trace_records_full_cycle(self):
         tracer = Tracer()
@@ -172,7 +173,7 @@ class TestFalsePositives:
                               probe_backoff_cap_s=30.0)
         sim, grid = make_grid(policy)  # no faults: every suspicion wrong
         sim.run(until=5000.0)
-        stats = grid.health.stats
+        stats = grid.layers.health.stats
         assert stats.suspicions >= 1
         assert stats.false_suspicions == stats.suspicions
         assert stats.false_positive_rate == 1.0
@@ -187,14 +188,14 @@ class TestFalsePositives:
                               phi_threshold=6.0)
         sim, grid = make_grid(policy)
         sim.run(until=5000.0)
-        assert grid.health.stats.suspicions == 0
-        assert grid.health.stats.false_positive_rate == 0.0
+        assert grid.layers.health.stats.suspicions == 0
+        assert grid.layers.health.stats.false_positive_rate == 0.0
 
 
 class TestDispatchFeedback:
     def test_dispatch_failure_trips_the_breaker(self):
         sim, grid = make_grid(BEAT)
-        monitor = grid.health
+        monitor = grid.layers.health
         monitor.record_dispatch_failure("site03")
         assert monitor.site_breakers["site03"].state is OPEN
         assert monitor.stats.breaker_trips == 1
@@ -202,7 +203,7 @@ class TestDispatchFeedback:
 
     def test_second_trip_is_idempotent(self):
         sim, grid = make_grid(BEAT)
-        monitor = grid.health
+        monitor = grid.layers.health
         monitor.record_dispatch_failure("site03")
         monitor.record_dispatch_failure("site03")
         assert monitor.stats.breaker_trips == 1
@@ -211,7 +212,7 @@ class TestDispatchFeedback:
 class TestLinkBreakers:
     def test_opens_after_threshold_consecutive_failures(self):
         sim, grid = make_grid(BEAT)
-        monitor = grid.health
+        monitor = grid.layers.health
         for _ in range(LINK_FAILURE_THRESHOLD - 1):
             monitor.record_transfer_failure("site00", "site01")
         assert not monitor.link_open("site00", "site01")
@@ -221,7 +222,7 @@ class TestLinkBreakers:
 
     def test_success_resets_and_closes(self):
         sim, grid = make_grid(BEAT)
-        monitor = grid.health
+        monitor = grid.layers.health
         for _ in range(LINK_FAILURE_THRESHOLD):
             monitor.record_transfer_failure("site00", "site01")
         assert monitor.link_open("site00", "site01")
@@ -232,7 +233,7 @@ class TestLinkBreakers:
 
     def test_success_interleaved_prevents_trip(self):
         sim, grid = make_grid(BEAT)
-        monitor = grid.health
+        monitor = grid.layers.health
         for _ in range(10):
             monitor.record_transfer_failure("site00", "site01")
             monitor.record_transfer_success("site00", "site01")
@@ -240,7 +241,7 @@ class TestLinkBreakers:
 
     def test_local_copies_ignored(self):
         sim, grid = make_grid(BEAT)
-        monitor = grid.health
+        monitor = grid.layers.health
         for _ in range(10):
             monitor.record_transfer_failure("site00", "site00")
         assert not monitor.link_breakers
@@ -249,7 +250,7 @@ class TestLinkBreakers:
         """A source behind an open link is still used when it holds the
         only replica — and the successful fetch closes the breaker."""
         sim, grid = make_grid(BEAT)
-        monitor = grid.health
+        monitor = grid.layers.health
         for _ in range(LINK_FAILURE_THRESHOLD):
             monitor.record_transfer_failure("site00", "site03")
         assert monitor.link_open("site00", "site03")
@@ -273,7 +274,7 @@ class TestObservedOnly:
         sim, grid = make_grid(self.POLICY, plan=self.PLAN)
         sim.run(until=110.0)
         # Down since t=100, but the schedulers don't know yet.
-        assert not grid.faults.is_up("site02")
+        assert not grid.layers.faults.is_up("site02")
         assert "site02" in grid.info.site_names
         sim.run(until=200.0)
         # Now the detector noticed.

@@ -61,7 +61,6 @@ class TestPolicy:
         assert stats.jobs_deflected == 0
         assert stats.jobs_expired == 0
         assert stats.degraded_dispatches == 0
-        assert stats.remote_reads == 0
 
 
 def make_grid(policy=None, local_scheduler=None, external_scheduler=None,
@@ -99,19 +98,20 @@ def job(job_id, origin="site00", runtime_s=100.0, inputs=("d0",)):
 class TestNullWiring:
     def test_null_policy_installs_nothing(self):
         sim, grid = make_grid(policy=OverloadPolicy())
-        assert grid.overload is None
-        assert grid.overload_stats is None
-        assert grid.datamover.overload is None
-        assert all(s.overload is None for s in grid.sites.values())
+        assert grid.layers.overload is None
+        assert grid.layers.hand_off == grid.layers.select_fallback == ()
+        assert grid.lifecycle.deadline_of is None
+        assert not any(s.reserve_inbound for s in grid.storages.values())
 
     def test_active_policy_wires_everywhere(self):
         policy = OverloadPolicy(queue_capacity=2)
         sim, grid = make_grid(policy=policy)
-        assert grid.overload is policy
-        assert grid.datamover.overload is policy
-        assert all(s.overload is policy for s in grid.sites.values())
-        assert all(s.overload_stats is grid.overload_stats
-                   for s in grid.sites.values())
+        overload = grid.layers.overload
+        assert overload.policy is policy
+        assert grid.layers.hand_off == (overload,)
+        assert grid.layers.select_fallback == (overload,)
+        assert overload.transition in grid.lifecycle.hooks
+        assert grid.lifecycle.deadline_of == overload.deadline_of
 
 
 class TestBoundedQueues:
@@ -125,8 +125,8 @@ class TestBoundedQueues:
             grid.submit(j)
         assert jobs[2].execution_site == "site01"
         assert jobs[2].deflections == 1
-        assert grid.overload_stats.jobs_deflected == 1
-        assert grid.overload_stats.degraded_dispatches == 1
+        assert grid.layers.overload.stats.jobs_deflected == 1
+        assert grid.layers.overload.stats.degraded_dispatches == 1
         kinds = [r.kind for r in grid.tracer.records]
         assert "job.deflected" in kinds
         assert "es.degraded" in kinds
@@ -139,7 +139,7 @@ class TestBoundedQueues:
         jobs = [job(0), job(1), job(2)]
         processes = [grid.submit(j) for j in jobs]
         assert jobs[2].state is JobState.SHED
-        assert grid.overload_stats.jobs_shed == 1
+        assert grid.layers.overload.stats.jobs_shed == 1
         assert "queues saturated" in jobs[2].failure_reason
         assert any(r.kind == "job.shed" for r in grid.tracer.records)
         # The shed job's execution process completes immediately with
@@ -186,7 +186,7 @@ class TestDeadlines:
         assert sim.now == pytest.approx(50.0)
         assert second.state is JobState.EXPIRED
         assert "deadline" in second.failure_reason
-        assert grid.overload_stats.jobs_expired == 1
+        assert grid.layers.overload.stats.jobs_expired == 1
         record = next(r for r in grid.tracer.records
                       if r.kind == "job.expired")
         assert record.detail["waited_s"] == pytest.approx(50.0)
@@ -241,7 +241,7 @@ class TestDeadlines:
         assert site.load == 0
         sim.run()
         assert first.state is JobState.DONE
-        assert grid.overload_stats.jobs_expired == 1
+        assert grid.layers.overload.stats.jobs_expired == 1
         assert all(s.jobs_in_system == 0 for s in grid.sites.values())
 
 
@@ -290,7 +290,7 @@ class TestDegradedMode:
         j = job(0)
         grid.submit(j)
         assert j.execution_site == "site00"  # least loaded, ties by name
-        assert grid.overload_stats.degraded_dispatches == 1
+        assert grid.layers.overload.stats.degraded_dispatches == 1
         record = next(r for r in grid.tracer.records
                       if r.kind == "es.degraded")
         assert record.detail["es"] == "least-loaded"
@@ -354,7 +354,7 @@ class TestRemoteRead:
         # The traffic was paid but nothing landed, nothing was pinned.
         assert j.fetched_mb == 550.0
         assert "remote" not in grid.storages["site00"]
-        assert grid.overload_stats.remote_reads == 1
+        assert grid.datamover.remote_reads == 1
         record = next(r for r in grid.tracer.records
                       if r.kind == "fetch.remote")
         assert record.detail["size_mb"] == 550.0

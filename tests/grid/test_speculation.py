@@ -20,7 +20,7 @@ from repro.network import Topology
 from repro.scheduling import DataDoNothing, FIFOLocalScheduler, JobLocal
 from repro.sim import Simulator
 from repro.sim.trace import Tracer
-from repro.watchdog import attach
+from repro.watchdog import InvariantViolation, attach
 
 SPEC = HealthPolicy(speculate_quantile=0.5, speculate_multiplier=2.0,
                     speculate_min_samples=5,
@@ -73,7 +73,7 @@ class TestPrimaryWins:
 
     def test_straggler_gets_one_backup(self):
         sim, grid, straggler = self.run_race()
-        stats = grid.health.stats
+        stats = grid.layers.health.stats
         assert stats.speculative_launched == 1
         assert straggler.state is JobState.DONE
 
@@ -85,8 +85,8 @@ class TestPrimaryWins:
         clone = clones[0]
         assert clone.job_id >= SPECULATIVE_ID_BASE
         assert clone.state is JobState.SPECULATED
-        assert grid.health.stats.speculative_losers == 1
-        assert grid.health.stats.speculative_wasted_s > 0
+        assert grid.layers.health.stats.speculative_losers == 1
+        assert grid.layers.health.stats.speculative_wasted_s > 0
         assert clone in grid.speculated_jobs
 
     def test_exactly_one_completion(self):
@@ -141,7 +141,7 @@ class TestBackupWins:
 
     def test_loser_accounting(self):
         sim, grid, straggler = self.run_race()
-        stats = grid.health.stats
+        stats = grid.layers.health.stats
         assert stats.speculative_launched == 1
         assert stats.speculative_losers == 1
         assert stats.speculative_wasted_s > 0
@@ -164,7 +164,7 @@ class TestBoundedWaste:
         done = grid.submit(straggler)
         sim.run(until=done)
         # ~100 scanner ticks happened during the straggler's runtime.
-        assert grid.health.stats.speculative_launched == 1
+        assert grid.layers.health.stats.speculative_launched == 1
 
     def test_clones_are_never_cloned(self):
         sim, grid = make_grid(plan=TestBackupWins.PLAN)
@@ -185,7 +185,7 @@ class TestNoFalseSpeculation:
     def test_quick_jobs_never_speculate(self):
         sim, grid = make_grid()
         warm_up(sim, grid, n=20)
-        assert grid.health.stats.speculative_launched == 0
+        assert grid.layers.health.stats.speculative_launched == 0
 
     def test_below_min_samples_never_speculates(self):
         policy = HealthPolicy(speculate_quantile=0.5,
@@ -197,7 +197,7 @@ class TestNoFalseSpeculation:
                         input_files=["d0"], runtime_s=300)
         done = grid.submit(straggler)
         sim.run(until=done)
-        assert grid.health.stats.speculative_launched == 0
+        assert grid.layers.health.stats.speculative_launched == 0
 
 
 class TestConfigGuards:
@@ -221,3 +221,57 @@ class TestCrossValidation:
         metrics = run_single(config, "JobRandom", "DataDoNothing",
                              tracer=tracer)
         assert mismatches(tracer.records, metrics) == {}
+
+
+class TestNoDoubleCompletionPerFamily:
+    """The watchdog judges a logical job by its whole family: the
+    primary plus every backup clone launched for it.  A primary whose
+    backup died alone is eligible again, so one family can hold more
+    than one clone."""
+
+    def family(self, grid, primary_state, *clone_states):
+        engine = grid.lifecycle
+        jobs = []
+        for offset, state in enumerate((primary_state,) + clone_states):
+            job = Job(job_id=(1 if offset == 0
+                              else SPECULATIVE_ID_BASE + offset),
+                      user="u", origin_site="site00", input_files=["d0"],
+                      runtime_s=10.0,
+                      speculative_of=None if offset == 0 else 1)
+            job.state = state
+            engine.register(job)
+            grid.submitted_jobs.append(job)
+            jobs.append(job)
+        return jobs
+
+    def test_second_backup_winning_passes(self):
+        _sim, grid = make_grid()
+        dog = attach(grid)
+        # Backup 1 conceded, backup 2 won, the primary was preempted.
+        self.family(grid, JobState.SPECULATED, JobState.SPECULATED,
+                    JobState.DONE)
+        dog._check_double_completion()
+
+    def test_two_done_clones_fail(self):
+        _sim, grid = make_grid()
+        dog = attach(grid)
+        self.family(grid, JobState.SPECULATED, JobState.DONE, JobState.DONE)
+        with pytest.raises(InvariantViolation) as err:
+            dog._check_double_completion()
+        assert err.value.invariant == "no-double-completion"
+
+    def test_every_attempt_lost_fails(self):
+        _sim, grid = make_grid()
+        dog = attach(grid)
+        self.family(grid, JobState.SPECULATED, JobState.SPECULATED,
+                    JobState.SPECULATED)
+        with pytest.raises(InvariantViolation) as err:
+            dog._check_double_completion()
+        assert "lost" in str(err.value)
+
+    def test_done_primary_and_done_backup_fail(self):
+        _sim, grid = make_grid()
+        dog = attach(grid)
+        self.family(grid, JobState.DONE, JobState.DONE)
+        with pytest.raises(InvariantViolation):
+            dog._check_double_completion()

@@ -71,7 +71,7 @@ class TestCleanOverloadedRun:
         grid.watchdog.check_now()
         # The run actually saturated — the invariants were exercised,
         # not vacuously true.
-        stats = grid.overload_stats
+        stats = grid.layers.overload.stats
         assert stats.jobs_shed + stats.jobs_expired > 0
 
 

@@ -94,7 +94,7 @@ class TestRepairOnSurvives:
         workload = make_workload(DURABLE, seed=0)
         sim, grid = build_grid(DURABLE, ES, DS, workload, seed=0)
         grid.run()
-        durability = grid.durability
+        durability = grid.layers.durability
         assert durability is not None
         assert durability.stats.verifications > 0
         assert durability.stats.replicas_quarantined > 0

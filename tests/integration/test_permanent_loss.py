@@ -78,7 +78,7 @@ class TestTheGap:
         # nothing anywhere records that they are gone for good.
         for name in sole_pinned:
             assert grid.catalog.replica_count(name) == 0, name
-        assert grid.durability is None
+        assert grid.layers.durability is None
 
     def test_dependent_jobs_fail_blind(self, gap_run):
         grid, sole_pinned = gap_run
@@ -115,7 +115,7 @@ class TestTheGapClosed:
 
     def test_every_empty_dataset_is_recorded_lost(self, durable_run):
         grid, _ = durable_run
-        durability = grid.durability
+        durability = grid.layers.durability
         assert durability is not None
         for name in grid.datasets.names:
             if grid.catalog.replica_count(name) == 0:
@@ -127,7 +127,7 @@ class TestTheGapClosed:
         grid, _ = durable_run
         assert grid.failed_jobs == []
         assert grid.abandoned_jobs
-        lost = set(grid.durability.lost_datasets())
+        lost = set(grid.layers.durability.lost_datasets())
         for job in grid.abandoned_jobs:
             assert any(f in lost for f in job.input_files), job
         assert (len(grid.completed_jobs)
@@ -135,7 +135,7 @@ class TestTheGapClosed:
 
     def test_repair_saved_what_it_could(self, durable_run):
         grid, sole_pinned = durable_run
-        stats = grid.durability.stats
+        stats = grid.layers.durability.stats
         # The audit copied some primaries off site00 before it died.
         assert stats.replicas_repaired > 0
         saved = [n for n in sole_pinned

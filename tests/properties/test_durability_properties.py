@@ -147,7 +147,7 @@ common_settings = settings(
 @common_settings
 def test_no_dataset_is_left_in_limbo(plan, knobs):
     grid, _ = run_durable(plan, knobs)
-    durability = grid.durability
+    durability = grid.layers.durability
     if durability is None:
         return  # nothing armed this example: nothing to promise
     for name in grid.datasets.names:
@@ -170,7 +170,7 @@ def test_jobs_conserve_and_abandonment_is_justified(plan, knobs):
     assert (len(grid.completed_jobs) + len(grid.failed_jobs)
             + len(grid.abandoned_jobs)) == len(states) == N_JOBS
     if grid.abandoned_jobs:
-        lost = set(grid.durability.lost_datasets())
+        lost = set(grid.layers.durability.lost_datasets())
         for job in grid.abandoned_jobs:
             assert any(f in lost for f in job.input_files), \
                 f"job {job.job_id} abandoned without a lost input"
@@ -217,7 +217,7 @@ def test_catalog_matches_storage_exactly(plan, knobs):
 @common_settings
 def test_durability_counters_stay_consistent(plan, knobs):
     grid, _ = run_durable(plan, knobs)
-    durability = grid.durability
+    durability = grid.layers.durability
     if durability is None:
         return
     stats = durability.stats

@@ -123,7 +123,7 @@ def test_jobs_conserved_under_overload(knobs):
     expired = len(grid.expired_jobs)
     assert completed + failed + shed + expired == submitted
     # The counters agree with the ledgers and nothing is left in-flight.
-    stats = grid.overload_stats
+    stats = grid.layers.overload.stats
     assert stats.jobs_shed == shed
     assert stats.jobs_expired == expired
     assert all(s.jobs_in_system == 0 for s in grid.sites.values())

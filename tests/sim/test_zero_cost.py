@@ -119,27 +119,46 @@ class TestCampaignWithFeaturesOff:
         assert emits == []
 
     def test_no_fault_injector_with_faults_off(self, monkeypatch):
-        from repro.faults import injector as injector_module
+        """No optional layer is built with every layer off — not the
+        fault injector, nor the staleness view, the overload layer, the
+        health monitor, the durability manager or the watchdog."""
+        from repro.faults.injector import FaultInjector
+        from repro.grid.durability import DurabilityManager
+        from repro.grid.health import HealthMonitor
+        from repro.grid.overload import OverloadLayer
+        from repro.grid.staleness import StaleReplicaView
+        from repro.watchdog import Watchdog
 
         constructed = []
-        original_init = injector_module.FaultInjector.__init__
-        monkeypatch.setattr(
-            injector_module.FaultInjector, "__init__",
-            lambda self, *a, **k: (constructed.append(1),
-                                   original_init(self, *a, **k))[1])
+        for cls in (FaultInjector, StaleReplicaView, OverloadLayer,
+                    HealthMonitor, DurabilityManager, Watchdog):
+            original_init = cls.__init__
+            monkeypatch.setattr(
+                cls, "__init__",
+                lambda self, *a, _init=original_init, **k: (
+                    constructed.append(type(self).__name__),
+                    _init(self, *a, **k))[1])
         run_single(golden_config(), "JobRandom", "DataRandom")
         assert constructed == []
 
     def test_no_overload_machinery_with_overload_off(self):
         from repro.experiments.runner import build_grid, make_workload
+        from repro.grid.layers import HOOK_ORDER, POINTS
 
         config = golden_config()
         workload = make_workload(config)
         sim, grid = build_grid(config, "JobRandom", "DataRandom", workload)
-        assert grid.overload is None
-        assert grid.overload_stats is None
+        layers = grid.layers
+        assert [getattr(layers, name) for name in HOOK_ORDER] == \
+            [None] * len(HOOK_ORDER)
+        # The grid, its sites and its data mover call hook points only
+        # through these tuples; all-off, every one is empty.
+        assert grid.datamover.layers is layers
+        assert all(getattr(layers, point) == () for point in POINTS)
+        assert grid.lifecycle.hooks == []
+        assert grid.lifecycle.deadline_of is None
         assert grid.tracer is None
-        assert grid.faults is None
+        assert grid.watchdog is None
         assert sim.dispatch_plan == "fast"
 
     def test_default_campaign_binds_the_fast_drain(self, monkeypatch):

@@ -105,3 +105,22 @@ class TestOverloadedRuns:
         assert counters.jobs_shed == metrics.jobs_shed
         assert counters.jobs_deflected == metrics.jobs_deflected
         assert counters.jobs_expired == metrics.jobs_expired
+
+
+class TestDataLossRuns:
+    """Bit-rot with detection only: some fetches read the last replica
+    of a dataset, get corrupt bytes, and end because no clean copy is
+    left to fail over to."""
+
+    def test_failed_fetch_of_a_lost_dataset_is_traced(self):
+        plan = FaultPlan(corruption_mtbf_s=1500.0)
+        records, metrics = _traced_run(
+            golden_config().with_(fault_plan=plan),
+            "JobLeastLoaded", "DataRandom")
+        assert metrics.datasets_lost > 0
+        # The attempt that found the dataset lost is failed and traced
+        # like any other, but no failover follows it.
+        final = [r for r in records if r.kind == "transfer.retry"
+                 and not r.detail["retry"]]
+        assert final
+        assert mismatches(records, metrics) == {}
