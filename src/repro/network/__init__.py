@@ -9,12 +9,14 @@ that model:
   hierarchical GriPhyN-style topology the paper assumes, plus flat/star and
   random builders for experimentation.
 * :mod:`~repro.network.link` — a :class:`Link` with fixed capacity shared
-  equally among concurrent transfers.
+  equally among concurrent transfers (kept in attach order, with a cached
+  weight total).
 * :mod:`~repro.network.routing` — shortest-path route computation + cache.
 * :mod:`~repro.network.transfer` — the :class:`TransferManager`, which runs
   all wide-area transfers under a rate allocator (the paper's equal-share
-  bottleneck model, or optionally true max–min fairness) and recomputes
-  rates whenever any transfer starts or finishes.
+  bottleneck model, or optionally true max–min fairness); when a transfer
+  starts or finishes, equal share re-rates only the transfers sharing a
+  link with it.
 """
 
 from repro.network.forecast import (

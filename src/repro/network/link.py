@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.transfer import Transfer
@@ -31,6 +31,7 @@ class Link:
         "capacity_mbps",
         "base_capacity_mbps",
         "active",
+        "weight_total",
         "bytes_carried",
         "busy_time",
         "load_integral",
@@ -48,7 +49,8 @@ class Link:
         #: Nominal (undegraded) capacity.  Fault injection mutates
         #: ``capacity_mbps`` only; timeouts and restores use this.
         self.base_capacity_mbps = float(capacity_mbps)
-        self.active: Set["Transfer"] = set()
+        self.active: Dict["Transfer", None] = {}
+        self.weight_total = 0.0
         self.bytes_carried = 0.0
         self.busy_time = 0.0
         self.load_integral = 0.0
@@ -88,14 +90,22 @@ class Link:
     def attach(self, transfer: "Transfer", now: float) -> None:
         """Register a transfer as crossing this link."""
         self.account(now)
-        self.active.add(transfer)
+        self.active[transfer] = None
 
     def detach(self, transfer: "Transfer", now: float,
                carried_mb: float) -> None:
         """Unregister a transfer and credit the MB it carried."""
         self.account(now)
-        self.active.discard(transfer)
+        self.active.pop(transfer, None)
         self.bytes_carried += carried_mb
+
+    def reweigh(self) -> None:
+        """Recompute :attr:`weight_total`, summing member weights in
+        attach order so the total is the same float on every recompute."""
+        total = 0.0
+        for transfer in self.active:
+            total += transfer.weight
+        self.weight_total = total
 
     def utilization(self, horizon: float) -> float:
         """Fraction of ``[0, horizon]`` the link was busy."""

@@ -3,8 +3,11 @@
 The :class:`TransferManager` executes every data movement in the grid (job
 input fetches *and* asynchronous replications — both compete for the same
 links, which is essential to the paper's comparison).  Whenever a transfer
-starts or finishes, rates are recomputed for all transfers sharing links
-with it.
+starts, finishes or is aborted, the links on its route change membership;
+each of those links refreshes its weight total, and only the transfers
+crossing one of them get a new rate — every other transfer's bottleneck
+share is unchanged.  A capacity change (:meth:`TransferManager.rebalance`)
+counts as a change to every link.
 
 Two rate allocators are provided:
 
@@ -18,7 +21,7 @@ Two rate allocators are provided:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Collection, Dict, Iterable, List, Optional, Sequence
 
 from repro.network.link import Link
 from repro.network.routing import Router
@@ -30,6 +33,14 @@ from repro.sim.events import Event
 _EPSILON_MB = 1e-9
 #: Guard against zero-length reschedule loops from float rounding.
 _MIN_DT = 1e-9
+
+
+def _fold(t: "Transfer", now: float) -> None:
+    """Fold the progress made at ``t``'s current rate up to ``now``."""
+    dt = now - t._last_update
+    if dt > 0:
+        t.remaining_mb = max(0.0, t.remaining_mb - t.rate * dt)
+    t._last_update = now
 
 
 class Transfer:
@@ -104,21 +115,29 @@ class EqualShareAllocator:
     Weighted transfers (GridFTP-style parallel streams) count as
     ``weight`` unit flows: a link carrying weights {1, 3} gives them 25%
     and 75% of its capacity.
+
+    A share reads the link's ``weight_total``, which the manager refreshes
+    for every link whose membership changed, so a rebalance re-rates only
+    the members of those links.
     """
 
     name = "equal-share"
 
-    def allocate(self, transfers: Sequence[Transfer]) -> Dict[Transfer, float]:
-        rates: Dict[Transfer, float] = {}
-        total_weight: Dict[Link, float] = {}
-        for t in transfers:
-            for link in t.route:
-                total_weight[link] = total_weight.get(link, 0.0) + t.weight
-        for t in transfers:
-            rates[t] = min(
-                link.capacity_mbps * t.weight / total_weight[link]
-                for link in t.route)
-        return rates
+    def affected(self, changed: Dict[Link, None],
+                 active: Sequence[Transfer]) -> Collection[Transfer]:
+        """The transfers crossing a changed link: only their shares move."""
+        members: Dict[Transfer, None] = {}
+        for link in changed:
+            members.update(link.active)
+        return members
+
+    def allocate(self, transfers: Collection[Transfer]
+                 ) -> Dict[Transfer, float]:
+        """Rate ``transfers`` from each link's current ``weight_total``."""
+        return {
+            t: min(link.capacity_mbps * t.weight / link.weight_total
+                   for link in t.route)
+            for t in transfers}
 
 
 class MaxMinFairAllocator:
@@ -130,6 +149,11 @@ class MaxMinFairAllocator:
     """
 
     name = "max-min"
+
+    def affected(self, changed: Dict[Link, None],
+                 active: Sequence[Transfer]) -> Collection[Transfer]:
+        """Every active transfer: one change can ripple through all rates."""
+        return active
 
     def allocate(self, transfers: Sequence[Transfer]) -> Dict[Transfer, float]:
         rates: Dict[Transfer, float] = {t: 0.0 for t in transfers}
@@ -178,7 +202,9 @@ class TransferManager:
     topology:
         The network; routes are shortest paths over it.
     allocator:
-        Rate allocator (defaults to the paper's equal-share model).
+        Rate allocator (defaults to the paper's equal-share model).  Each
+        rebalance asks its ``affected(changed_links, active)`` which
+        transfers need a new rate and passes them to ``allocate``.
     """
 
     def __init__(self, sim: Simulator, topology: Topology,
@@ -243,7 +269,7 @@ class TransferManager:
         self.active.append(transfer)
         for hook in self.on_start:
             hook(transfer)
-        self._rebalance()
+        self._rebalance(route)
         return transfer
 
     def abort(self, transfer: Transfer, reason: str = "") -> bool:
@@ -256,8 +282,8 @@ class TransferManager:
         """
         if transfer.finished_at is not None or transfer not in self.active:
             return False
-        self._advance_progress()
         now = self.sim.now
+        _fold(transfer, now)
         transfer.finished_at = now
         transfer.failed = True
         if reason:
@@ -274,12 +300,16 @@ class TransferManager:
         for hook in self.on_abort:
             hook(transfer)
         transfer.done.succeed(transfer)
-        self._rebalance()
+        self._rebalance(transfer.route)
         return True
 
     def rebalance(self) -> None:
-        """Recompute rates now (e.g. after a link capacity change)."""
-        self._rebalance()
+        """Re-rate every transfer now.
+
+        Call it after changing any link's capacity: a start, finish or
+        abort re-rates only the transfers crossing the links it touched.
+        """
+        self._rebalance(self.topology.links)
 
     def estimated_transfer_time(self, src: str, dst: str,
                                 size_mb: float) -> float:
@@ -307,26 +337,27 @@ class TransferManager:
 
     # -- internals -----------------------------------------------------------
 
-    def _advance_progress(self) -> None:
-        """Fold elapsed time into each active transfer's remaining bytes."""
-        now = self.sim.now
-        for t in self.active:
-            dt = now - t._last_update
-            if dt > 0:
-                t.remaining_mb = max(0.0, t.remaining_mb - t.rate * dt)
-            t._last_update = now
+    def _rebalance(self, changed: Iterable[Link]) -> None:
+        """Re-rate the transfers crossing a changed link and re-arm the
+        next-completion timer.
 
-    def _rebalance(self) -> None:
-        """Recompute all rates and re-arm the next-completion timer."""
-        self._advance_progress()
-        self._complete_finished()
+        ``changed`` names the links whose membership (or capacity) moved
+        since the last rebalance; links freed by completions in this pass
+        are added to it.  A transfer crossing none of them keeps its rate:
+        its links' totals and capacities are what they were.
+        """
+        changed = dict.fromkeys(changed)
+        self._settle(changed)
+        for link in changed:
+            link.reweigh()
         if not self.active:
             return
-        rates = self.allocator.allocate(self.active)
-        for t in self.active:
-            t.rate = rates[t]
-            if t.rate <= 0:  # pragma: no cover - allocators always give > 0
+        allocator = self.allocator
+        rates = allocator.allocate(allocator.affected(changed, self.active))
+        for t, rate in rates.items():
+            if rate <= 0:  # pragma: no cover - allocators always give > 0
                 raise RuntimeError(f"allocator assigned zero rate to {t!r}")
+            t.rate = rate
         next_dt = min(t.remaining_mb / t.rate for t in self.active)
         next_dt = max(next_dt, _MIN_DT)
         self._timer_token += 1
@@ -337,17 +368,25 @@ class TransferManager:
     def _on_timer(self, token: int) -> None:
         if token != self._timer_token:
             return  # superseded by a later rebalance
-        self._rebalance()
+        self._rebalance(())
 
-    def _complete_finished(self) -> None:
+    def _settle(self, changed: Dict[Link, None]) -> None:
+        """Fold elapsed time into every active transfer and complete, in
+        start order, those with no bytes left; their links join
+        ``changed``."""
         now = self.sim.now
         still_active: List[Transfer] = []
         for t in self.active:
+            dt = now - t._last_update  # _fold, inlined on the hot path
+            if dt > 0:
+                t.remaining_mb = max(0.0, t.remaining_mb - t.rate * dt)
+            t._last_update = now
             if t.remaining_mb <= _EPSILON_MB:
                 t.remaining_mb = 0.0
                 t.finished_at = now
                 for link in t.route:
                     link.detach(t, now, t.size_mb)
+                    changed[link] = None
                 self.completed.append(t)
                 for observer in self.observers:
                     observer(t)

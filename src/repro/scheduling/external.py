@@ -34,10 +34,12 @@ class JobRandom(ExternalScheduler):
         self.rng = rng
 
     def select_site(self, job: "Job", grid: "DataGrid") -> str:
-        site = self.rng.choice(grid.info.site_names)
+        names = grid.info.site_names
+        if not names:
+            raise ValueError("no candidate sites")
+        site = self.rng.choice(names)
         if grid.tracer is not None:
-            self._trace_decision(grid, job, site,
-                                 candidates=list(grid.info.site_names))
+            self._trace_decision(grid, job, site, candidates=list(names))
         return site
 
 

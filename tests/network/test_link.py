@@ -6,7 +6,8 @@ from repro.network.link import Link
 
 
 class _FakeTransfer:
-    pass
+    def __init__(self, weight=1.0):
+        self.weight = weight
 
 
 class TestLink:
@@ -34,6 +35,33 @@ class TestLink:
         link.detach(t2, now=1.0, carried_mb=100)
         assert link.equal_share() == 6
         assert link.bytes_carried == 100
+
+    def test_active_iterates_in_attach_order(self):
+        """Members iterate in attach order, the order the transfer manager
+        sums their weights in; a detach leaves the others' order alone."""
+        link = Link("a", "b", 10)
+        ts = [_FakeTransfer() for _ in range(4)]
+        for t in ts:
+            link.attach(t, now=0.0)
+        link.detach(ts[1], now=1.0, carried_mb=0)
+        assert list(link.active) == [ts[0], ts[2], ts[3]]
+        link.attach(ts[1], now=2.0)
+        assert list(link.active) == [ts[0], ts[2], ts[3], ts[1]]
+
+    def test_reweigh_sums_in_attach_order(self):
+        link = Link("a", "b", 10)
+        assert link.weight_total == 0.0
+        first, second, third = (_FakeTransfer(w) for w in (0.1, 0.7, 1.0))
+        for t in (first, second, third):
+            link.attach(t, now=0.0)
+        assert link.weight_total == 0.0  # refreshed only by reweigh
+        link.reweigh()
+        assert link.weight_total == (0.1 + 0.7) + 1.0 != (1.0 + 0.7) + 0.1
+        link.detach(first, now=1.0, carried_mb=0)
+        link.detach(second, now=1.0, carried_mb=0)
+        link.detach(third, now=1.0, carried_mb=0)
+        link.reweigh()
+        assert link.weight_total == 0.0
 
     def test_busy_time_integrates_only_when_active(self):
         link = Link("a", "b", 10)

@@ -44,6 +44,39 @@ class TestJobRandom:
                 for _ in range(1)]
         assert seq1 == seq2
 
+    def test_no_available_site_is_a_value_error(self, star_grid):
+        """Like ``least_loaded``: a wedge the grid's fallback can answer."""
+        _, grid = star_grid
+        for name in grid.sites:
+            grid.info.mark_site_down(name)
+        with pytest.raises(ValueError, match="no candidate sites"):
+            JobRandom(random.Random(0)).select_site(make_job(), grid)
+
+    @pytest.mark.parametrize("ds_name", ["DataDoNothing", "DataRandom"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_false_suspicions_take_the_health_fallback(
+            self, ds_name, seed, monkeypatch):
+        """Heavy heartbeat jitter hides every site; the health layer's
+        fallback places the job and every run finishes."""
+        from repro.experiments.runner import run_single
+        from repro.grid.health import HealthMonitor
+        from repro.trace.golden import golden_config
+
+        fallbacks = []
+        original = HealthMonitor.select_fallback
+
+        def counted(monitor, job):
+            fallbacks.append(job.job_id)
+            return original(monitor, job)
+
+        monkeypatch.setattr(HealthMonitor, "select_fallback", counted)
+        config = golden_config().with_(
+            health_heartbeat_s=30, health_heartbeat_jitter=0.9,
+            health_phi_threshold=1.05, health_probe_interval_s=600)
+        metrics = run_single(config, "JobRandom", ds_name, seed=seed)
+        assert fallbacks
+        assert metrics.n_jobs == 50 and metrics.jobs_failed == 0
+
 
 class TestJobLeastLoaded:
     def test_avoids_loaded_site(self, star_grid):
